@@ -5,7 +5,7 @@ use lusail_baselines::{FedX, FedXConfig, FederatedEngine, HiBiscus, Splendid};
 use lusail_core::{CancelToken, LusailConfig, LusailEngine, ResultPolicy, RunContext};
 use lusail_federation::{
     Federation, HttpConfig, HttpEndpoint, IntegrityRegistry, NetworkProfile, ReplicaConfig,
-    ReplicaGroup, SimulatedEndpoint, SparqlEndpoint,
+    ReplicaGroup, RetryPolicy, SimulatedEndpoint, SparqlEndpoint,
 };
 use lusail_rdf::{Graph, Term};
 use lusail_server::federate::{FederateConfig, FederationService};
@@ -54,7 +54,8 @@ healthiest member (breaker state, then latency EWMA) and transparently
 fail over to the next member on transport errors or an open breaker.
 --hedge-after MS additionally duplicates a slow idempotent request on the
 second-best member after MS milliseconds and takes the first success.
---retries and --backoff tune the per-member HTTP retry budget.
+--retries N (max 100) and --backoff MS (max 60000) tune the per-member
+HTTP retry budget (default 2 retries, 50 ms first backoff, doubling).
 
 --partial (lusail engine only) returns the reachable subset of answers
 when an endpoint is down, with a warning per skipped subquery, instead of
@@ -386,32 +387,7 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
                         .map_err(|_| usage(&format!("bad --timeout {v:?}")))?,
                 ),
             };
-            let retries: Option<u32> = match get("--retries") {
-                None => None,
-                Some(v) => {
-                    let n = v
-                        .parse()
-                        .map_err(|_| usage(&format!("bad --retries {v:?}")))?;
-                    if n > 100 {
-                        return Err(usage(&format!("--retries {n} is out of range (max 100)")));
-                    }
-                    Some(n)
-                }
-            };
-            let backoff: Option<u64> = match get("--backoff") {
-                None => None,
-                Some(v) => {
-                    let ms = v
-                        .parse()
-                        .map_err(|_| usage(&format!("bad --backoff {v:?}")))?;
-                    if ms > 60_000 {
-                        return Err(usage(&format!(
-                            "--backoff {ms} is out of range (max 60000 ms)"
-                        )));
-                    }
-                    Some(ms)
-                }
-            };
+            let (retries, backoff) = parse_retry_flags(get("--retries"), get("--backoff"))?;
             let hedge_after: Option<u64> = match get("--hedge-after") {
                 None => None,
                 Some(v) => {
@@ -587,13 +563,7 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
                         )),
                     }
                 };
-                let retries: Option<u32> = match get("--retries") {
-                    None => None,
-                    Some(v) => Some(
-                        v.parse()
-                            .map_err(|_| usage(&format!("bad --retries {v:?}")))?,
-                    ),
-                };
+                let (retries, backoff) = parse_retry_flags(get("--retries"), get("--backoff"))?;
                 let client_max_inflight = parse_usize("--client-max-inflight")?;
                 if client_max_inflight == Some(0) {
                     return Err(usage("--client-max-inflight must be at least 1"));
@@ -612,7 +582,7 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
                     profile,
                     query_timeout: parse_u64("--query-timeout")?,
                     retries,
-                    backoff: parse_u64("--backoff")?,
+                    backoff,
                     hedge_after: parse_u64("--hedge-after")?,
                     memory_pool,
                     query_budget,
@@ -710,6 +680,36 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
 /// Parse a byte-size argument: a plain count, or a count with a decimal
 /// (`KB`/`MB`/`GB`) or binary (`KiB`/`MiB`/`GiB`) suffix, case-insensitive
 /// — `8MiB`, `512kb`, `1073741824`.
+/// Parse `--retries N` (at most 100) and `--backoff MS` (at most 60000):
+/// the one retry-flag parser `query` and `serve --federate` share.
+fn parse_retry_flags(
+    retries: Option<&str>,
+    backoff: Option<&str>,
+) -> Result<(Option<u32>, Option<u64>), CliError> {
+    let bounded = |flag: &str, v: Option<&str>, max: u64, unit: &str| match v {
+        None => Ok(None),
+        Some(v) => match v.parse::<u64>() {
+            Ok(n) if n <= max => Ok(Some(n)),
+            Ok(n) => Err(CliError::Usage(format!(
+                "{flag} {n} is out of range (max {max}{unit})"
+            ))),
+            Err(_) => Err(CliError::Usage(format!("bad {flag} {v:?}"))),
+        },
+    };
+    let retries = bounded("--retries", retries, 100, "")?.map(|n| n as u32);
+    Ok((retries, bounded("--backoff", backoff, 60_000, " ms")?))
+}
+
+/// The retry policy for HTTP endpoints: the defaults, overridden by
+/// `--retries`/`--backoff` when given.
+fn retry_policy(retries: Option<u32>, backoff: Option<u64>) -> RetryPolicy {
+    let defaults = RetryPolicy::default();
+    RetryPolicy {
+        retries: retries.unwrap_or(defaults.retries),
+        backoff: backoff.map_or(defaults.backoff, Duration::from_millis),
+    }
+}
+
 fn parse_bytes(v: &str) -> Result<usize, String> {
     let t = v.trim();
     let split = t.find(|c: char| !c.is_ascii_digit()).unwrap_or(t.len());
@@ -795,13 +795,14 @@ fn parse_endpoint_spec(spec: &str) -> Result<EndpointSpec, String> {
 
 /// Assemble a federation from local data files (simulated endpoints) and
 /// remote URL specs (HTTP endpoints, or replica groups of them), in that
-/// order. `http` tunes every HTTP member; `hedge_after` enables hedging
-/// inside replica groups.
+/// order. `http` and `retry` tune every HTTP member; `hedge_after` enables
+/// hedging inside replica groups.
 fn build_federation(
     data: &[PathBuf],
     urls: &[String],
     profile: ProfileKind,
     http: HttpConfig,
+    retry: RetryPolicy,
     hedge_after: Option<Duration>,
 ) -> Result<Federation, CliError> {
     let mut endpoints: Vec<Arc<dyn SparqlEndpoint>> = Vec::new();
@@ -821,7 +822,8 @@ fn build_federation(
     let http_member = |name: &str, url: &str| -> Result<Arc<dyn SparqlEndpoint>, CliError> {
         let ep = HttpEndpoint::new(name, url)
             .map_err(|e| CliError::Usage(format!("--endpoint {e}")))?
-            .with_config(http);
+            .with_config(http)
+            .with_retry(retry);
         Ok(Arc::new(ep))
     };
     for spec in urls {
@@ -896,21 +898,18 @@ pub fn start_federated_server(
     max_result_rows: Option<usize>,
     opts: &FederateOpts,
 ) -> Result<(lusail_server::ServerHandle, usize), CliError> {
-    let mut http = HttpConfig::default();
-    if let Some(n) = opts.retries {
-        http.retries = n;
-    }
-    if let Some(ms) = opts.backoff {
-        http.backoff = Duration::from_millis(ms);
-    }
     // The transport-level row cap guards the federator against endpoint
     // result bombs, independent of the per-query ledger.
-    http.max_result_rows = max_result_rows;
+    let http = HttpConfig {
+        max_result_rows,
+        ..HttpConfig::default()
+    };
     let federation = build_federation(
         data,
         &opts.endpoints,
         opts.profile,
         http,
+        retry_policy(opts.retries, opts.backoff),
         opts.hedge_after.map(Duration::from_millis),
     )?;
     let endpoints = federation.len();
@@ -1021,21 +1020,18 @@ pub fn run_command(cmd: Command, out: &mut dyn Write) -> Result<(), CliError> {
             partial,
             stats,
         } => {
-            let mut http = HttpConfig::default();
-            if let Some(n) = retries {
-                http.retries = n;
-            }
-            if let Some(ms) = backoff {
-                http.backoff = Duration::from_millis(ms);
-            }
             // The transport-level cap guards every engine: a result bomb
             // is cut off while the response streams in.
-            http.max_result_rows = max_result_rows;
+            let http = HttpConfig {
+                max_result_rows,
+                ..HttpConfig::default()
+            };
             let federation = build_federation(
                 &data,
                 &endpoints,
                 profile,
                 http,
+                retry_policy(retries, backoff),
                 hedge_after.map(Duration::from_millis),
             )?;
             let text = match (&query_file, &query_text) {
@@ -1208,6 +1204,7 @@ pub fn run_command(cmd: Command, out: &mut dyn Write) -> Result<(), CliError> {
                 &[],
                 ProfileKind::Instant,
                 HttpConfig::default(),
+                RetryPolicy::default(),
                 None,
             )?;
             let handler = lusail_federation::RequestHandler::per_core();
@@ -2197,6 +2194,30 @@ mod tests {
                 matches!(parse_args(&args), Err(CliError::Usage(_))),
                 "{bad:?} should be rejected"
             );
+        }
+    }
+
+    #[test]
+    fn serve_federate_checks_retry_flags_like_query() {
+        let serve = |flag: &str, value: &str| {
+            parse_args(&s(&["serve", "--federate", "--data", "a.nt", flag, value]))
+        };
+        for (flag, value) in [
+            ("--retries", "101"),
+            ("--retries", "4294967295"),
+            ("--backoff", "60001"),
+        ] {
+            match serve(flag, value) {
+                Err(CliError::Usage(m)) => assert!(m.contains("out of range"), "{m}"),
+                other => panic!("{flag} {value} should be rejected, got {other:?}"),
+            }
+        }
+        match serve("--retries", "100").unwrap() {
+            Command::Serve {
+                federate: Some(opts),
+                ..
+            } => assert_eq!(opts.retries, Some(100)),
+            other => panic!("{other:?}"),
         }
     }
 

@@ -2,8 +2,9 @@
 //! the simulated implementation used throughout the benchmarks.
 
 use crate::cancel::CancelReason;
-use crate::erh::{Admission, BreakerConfig, Deadline, EndpointHealth, HealthSnapshot};
+use crate::erh::{Deadline, HealthSnapshot};
 use crate::network::{NetworkProfile, RequestCounters, TrafficSnapshot};
+use crate::resilient::{Resilient, Transport};
 use lusail_sparql::ast::Query;
 use lusail_sparql::solution::Relation;
 use lusail_store::eval::QueryResult;
@@ -60,58 +61,45 @@ pub struct EndpointError {
 }
 
 impl EndpointError {
-    /// A transport-level failure (retryable; trips the breaker).
-    pub fn transport(endpoint: impl Into<String>, message: impl Into<String>) -> Self {
+    /// A failure of the given kind.
+    pub fn new(endpoint: impl Into<String>, message: impl Into<String>, kind: FailureKind) -> Self {
         EndpointError {
             endpoint: endpoint.into(),
             message: message.into(),
-            kind: FailureKind::Transport,
+            kind,
         }
+    }
+
+    /// A transport-level failure (retryable; trips the breaker).
+    pub fn transport(endpoint: impl Into<String>, message: impl Into<String>) -> Self {
+        EndpointError::new(endpoint, message, FailureKind::Transport)
     }
 
     /// A request the server rejected (not retryable).
     pub fn rejected(endpoint: impl Into<String>, message: impl Into<String>) -> Self {
-        EndpointError {
-            endpoint: endpoint.into(),
-            message: message.into(),
-            kind: FailureKind::Rejected,
-        }
+        EndpointError::new(endpoint, message, FailureKind::Rejected)
     }
 
     /// A fast failure from an open circuit breaker.
     pub fn circuit_open(endpoint: impl Into<String>, retry_in: Duration) -> Self {
-        EndpointError {
-            endpoint: endpoint.into(),
-            message: format!("circuit breaker open; retry in {retry_in:?}"),
-            kind: FailureKind::CircuitOpen,
-        }
+        let message = format!("circuit breaker open; retry in {retry_in:?}");
+        EndpointError::new(endpoint, message, FailureKind::CircuitOpen)
     }
 
     /// An expired query deadline observed at this endpoint.
     pub fn deadline(endpoint: impl Into<String>) -> Self {
-        EndpointError {
-            endpoint: endpoint.into(),
-            message: "query deadline expired".to_string(),
-            kind: FailureKind::Deadline,
-        }
+        EndpointError::new(endpoint, "query deadline expired", FailureKind::Deadline)
     }
 
     /// A query cancelled via its token, observed at this endpoint.
     pub fn cancelled(endpoint: impl Into<String>, reason: CancelReason) -> Self {
-        EndpointError {
-            endpoint: endpoint.into(),
-            message: format!("query cancelled: {reason}"),
-            kind: FailureKind::Cancelled,
-        }
+        let message = format!("query cancelled: {reason}");
+        EndpointError::new(endpoint, message, FailureKind::Cancelled)
     }
 
     /// A result-integrity violation (lying endpoint). Never skippable.
     pub fn integrity(endpoint: impl Into<String>, message: impl Into<String>) -> Self {
-        EndpointError {
-            endpoint: endpoint.into(),
-            message: message.into(),
-            kind: FailureKind::Integrity,
-        }
+        EndpointError::new(endpoint, message, FailureKind::Integrity)
     }
 
     /// The right error for an exhausted deadline: `cancelled` with the
@@ -252,10 +240,9 @@ pub trait SparqlEndpoint: Send + Sync {
     }
 
     /// Run a `SELECT` and report truncation metadata alongside the rows.
-    /// Transports that can see a server's truncation advertisement
-    /// (`HttpEndpoint` reading `X-Lusail-Truncated`) override this; the
-    /// default reports no advertisement, which is what a silently-capping
-    /// server looks like.
+    /// The resilience layer overrides this with its transport's flag (the
+    /// HTTP transport reads `X-Lusail-Truncated`); the default reports no
+    /// advertisement, which is what a silently-capping server looks like.
     fn select_with_meta(
         &self,
         query: &Query,
@@ -296,81 +283,62 @@ pub trait SparqlEndpoint: Send + Sync {
 }
 
 /// A simulated SPARQL endpoint: a local [`Store`] behind a simulated
-/// network link.
+/// network link, under the shared retry/breaker loop.
 ///
-/// Each `execute` serializes the query to text, charges the request to the
+/// Each attempt serializes the query to text, charges the request to the
 /// network profile (latency sleep + bandwidth-proportional transfer time
 /// for request and response), re-parses the text, and evaluates it on the
 /// store — the same observable behaviour as a remote Fuseki/Virtuoso
 /// instance, compressed in time.
-pub struct SimulatedEndpoint {
+pub type SimulatedEndpoint = Resilient<SimulatedTransport>;
+
+impl SimulatedEndpoint {
+    /// Wrap a store as an endpoint with the given network profile.
+    pub fn new(name: impl Into<String>, store: Store, profile: NetworkProfile) -> Self {
+        Resilient::over(SimulatedTransport::new(name, store, profile))
+    }
+
+    /// Impose server-side limits (see [`EndpointLimits`]).
+    pub fn with_limits(mut self, limits: EndpointLimits) -> Self {
+        self.transport.limits = limits;
+        self
+    }
+}
+
+/// The store-plus-network transport behind [`SimulatedEndpoint`]. It never
+/// fails on its own; fault injection wraps it
+/// ([`FaultyTransport`](crate::fault::FaultyTransport)).
+pub struct SimulatedTransport {
     name: String,
     store: Store,
     profile: NetworkProfile,
     limits: EndpointLimits,
     counters: RequestCounters,
-    health: EndpointHealth,
 }
 
-impl SimulatedEndpoint {
-    /// Wrap a store as an endpoint with the given network profile.
+impl SimulatedTransport {
+    /// A store behind a link with the given network profile.
     pub fn new(name: impl Into<String>, store: Store, profile: NetworkProfile) -> Self {
-        SimulatedEndpoint {
+        SimulatedTransport {
             name: name.into(),
             store,
             profile,
             limits: EndpointLimits::default(),
             counters: RequestCounters::new(),
-            health: EndpointHealth::new(BreakerConfig::default()),
         }
-    }
-
-    /// Impose server-side limits (see [`EndpointLimits`]).
-    pub fn with_limits(mut self, limits: EndpointLimits) -> Self {
-        self.limits = limits;
-        self
-    }
-
-    /// The underlying store (test/inspection use only — federated engines
-    /// must go through `execute`).
-    pub fn store(&self) -> &Store {
-        &self.store
-    }
-
-    /// This endpoint's network profile.
-    pub fn profile(&self) -> NetworkProfile {
-        self.profile
-    }
-
-    /// Replace the network profile (used by the geo-distribution benches to
-    /// re-deploy the same data under a different network).
-    pub fn set_profile(&mut self, profile: NetworkProfile) {
-        self.profile = profile;
     }
 }
 
-impl SparqlEndpoint for SimulatedEndpoint {
+impl Transport for SimulatedTransport {
     fn name(&self) -> &str {
         &self.name
     }
 
-    fn execute_within(
+    fn attempt(
         &self,
         query: &Query,
-        deadline: Deadline,
-    ) -> Result<QueryResult, EndpointError> {
-        // The simulated transport itself never fails, but it consults the
-        // same registry as the HTTP transport so a fault-injection wrapper
-        // (or future failure mode) shares one breaker and --stats shows a
-        // uniform health row per endpoint.
-        if let Admission::Rejected { retry_in } = self.health.admit() {
-            return Err(EndpointError::circuit_open(&self.name, retry_in));
-        }
-        if deadline.expired() {
-            return Err(EndpointError::expired(&self.name, &deadline));
-        }
-        let started = std::time::Instant::now();
-
+        deadline: &Deadline,
+    ) -> Result<(QueryResult, bool), EndpointError> {
         // 1. The request travels as text.
         let text = lusail_sparql::serializer::serialize_query(query);
         let request_bytes = text.len();
@@ -414,11 +382,10 @@ impl SparqlEndpoint for SimulatedEndpoint {
         deadline.pause(cost);
         if allowed < cost || deadline.cancel_reason().is_some() {
             self.counters.record(request_bytes, 0, allowed);
-            return Err(EndpointError::expired(&self.name, &deadline));
+            return Err(EndpointError::expired(&self.name, deadline));
         }
         self.counters.record(request_bytes, response_bytes, cost);
-        self.health.record_success(started.elapsed());
-        Ok(result)
+        Ok((result, false))
     }
 
     fn traffic(&self) -> TrafficSnapshot {
@@ -427,14 +394,6 @@ impl SparqlEndpoint for SimulatedEndpoint {
 
     fn reset_traffic(&self) {
         self.counters.reset();
-    }
-
-    fn health(&self) -> Option<HealthSnapshot> {
-        Some(self.health.snapshot())
-    }
-
-    fn set_quarantined(&self, on: bool) {
-        self.health.set_quarantined(on);
     }
 
     fn collect_stats(&self) -> Option<StoreStats> {
@@ -450,6 +409,10 @@ mod tests {
     use lusail_sparql::parse_query;
 
     fn endpoint() -> SimulatedEndpoint {
+        endpoint_on(NetworkProfile::instant())
+    }
+
+    fn endpoint_on(profile: NetworkProfile) -> SimulatedEndpoint {
         let mut g = Graph::new();
         g.add(
             Term::iri("http://x/a"),
@@ -461,7 +424,7 @@ mod tests {
             Term::iri("http://x/p"),
             Term::iri("http://x/c"),
         );
-        SimulatedEndpoint::new("ep0", Store::from_graph(&g), NetworkProfile::instant())
+        SimulatedEndpoint::new("ep0", Store::from_graph(&g), profile)
     }
 
     #[test]
@@ -499,8 +462,7 @@ mod tests {
 
     #[test]
     fn latency_is_paid() {
-        let mut ep = endpoint();
-        ep.set_profile(NetworkProfile {
+        let ep = endpoint_on(NetworkProfile {
             latency: std::time::Duration::from_millis(5),
             bytes_per_sec: u64::MAX,
         });
@@ -514,11 +476,12 @@ mod tests {
     #[test]
     fn request_size_limit_rejects_big_queries() {
         let ep = endpoint();
-        let ep = SimulatedEndpoint::new("lim", ep.store().clone(), NetworkProfile::instant())
-            .with_limits(EndpointLimits {
-                max_request_bytes: Some(64),
-                max_result_rows: None,
-            });
+        let ep =
+            SimulatedEndpoint::new("lim", ep.transport.store.clone(), NetworkProfile::instant())
+                .with_limits(EndpointLimits {
+                    max_request_bytes: Some(64),
+                    max_result_rows: None,
+                });
         let small = parse_query("ASK { ?s ?p ?o }").unwrap();
         assert!(ep.ask(&small).is_ok());
         let big = parse_query(
@@ -536,11 +499,12 @@ mod tests {
     #[test]
     fn result_row_limit_truncates() {
         let ep = endpoint();
-        let ep = SimulatedEndpoint::new("cap", ep.store().clone(), NetworkProfile::instant())
-            .with_limits(EndpointLimits {
-                max_request_bytes: None,
-                max_result_rows: Some(1),
-            });
+        let ep =
+            SimulatedEndpoint::new("cap", ep.transport.store.clone(), NetworkProfile::instant())
+                .with_limits(EndpointLimits {
+                    max_request_bytes: None,
+                    max_result_rows: Some(1),
+                });
         let q = parse_query("SELECT ?s ?o WHERE { ?s <http://x/p> ?o }").unwrap();
         let r = ep.select(&q).unwrap();
         assert_eq!(r.len(), 1, "server cap must truncate the 2-row result");
@@ -567,8 +531,7 @@ mod tests {
 
     #[test]
     fn deadline_shorter_than_simulated_cost_times_out() {
-        let mut ep = endpoint();
-        ep.set_profile(NetworkProfile {
+        let ep = endpoint_on(NetworkProfile {
             latency: Duration::from_millis(50),
             bytes_per_sec: u64::MAX,
         });

@@ -92,11 +92,6 @@ impl Deadline {
         self.token.as_ref().and_then(|t| t.reason())
     }
 
-    /// The absolute expiry instant, if any.
-    pub fn instant(&self) -> Option<Instant> {
-        self.at
-    }
-
     /// Whether the time budget alone is exhausted, ignoring the token.
     pub fn time_expired(&self) -> bool {
         match self.at {
@@ -403,17 +398,6 @@ impl Default for BreakerConfig {
     }
 }
 
-impl BreakerConfig {
-    /// A breaker that never opens (for endpoints that must keep absorbing
-    /// their own retry budget, e.g. in baseline comparisons).
-    pub fn disabled() -> Self {
-        BreakerConfig {
-            failure_threshold: u32::MAX,
-            ..Default::default()
-        }
-    }
-}
-
 /// The externally visible breaker state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BreakerState {
@@ -590,8 +574,8 @@ pub struct HealthSnapshot {
 }
 
 /// Per-endpoint health registry: the [`CircuitBreaker`] plus failure/retry
-/// counters and a latency EWMA, shared by `HttpEndpoint`, the simulated
-/// transport, and the fault-injection wrapper.
+/// counters and a latency EWMA, owned by the one resilience layer
+/// ([`Resilient`](crate::resilient::Resilient)) every transport runs under.
 pub struct EndpointHealth {
     inner: Mutex<HealthInner>,
 }
@@ -604,7 +588,6 @@ struct HealthInner {
     open_rejections: u64,
     ewma_micros: f64,
     has_sample: bool,
-    ewma_alpha: f64,
     quarantined: bool,
 }
 
@@ -620,7 +603,6 @@ impl EndpointHealth {
                 open_rejections: 0,
                 ewma_micros: 0.0,
                 has_sample: false,
-                ewma_alpha: config.ewma_alpha,
                 quarantined: false,
             }),
         }
@@ -650,7 +632,7 @@ impl EndpointHealth {
         inner.breaker.on_success();
         let sample = latency.as_secs_f64() * 1e6;
         if inner.has_sample {
-            let alpha = inner.ewma_alpha;
+            let alpha = inner.breaker.config.ewma_alpha;
             inner.ewma_micros = alpha * sample + (1.0 - alpha) * inner.ewma_micros;
         } else {
             inner.ewma_micros = sample;
@@ -658,11 +640,13 @@ impl EndpointHealth {
         }
     }
 
-    /// Record one transport-failure attempt.
-    pub fn record_failure(&self) {
+    /// Record one transport-failure attempt. Returns whether the breaker
+    /// is now open (this strike, or a parallel request's, opened it).
+    pub fn record_failure(&self) -> bool {
         let mut inner = self.lock();
         inner.failures += 1;
         inner.breaker.on_failure(Instant::now());
+        inner.breaker.state() == BreakerState::Open
     }
 
     /// Record one retry attempt (beyond a request's first try).
@@ -670,21 +654,11 @@ impl EndpointHealth {
         self.lock().retries += 1;
     }
 
-    /// The breaker's current state.
-    pub fn state(&self) -> BreakerState {
-        self.lock().breaker.state()
-    }
-
     /// Enter or leave result-integrity quarantine. Orthogonal to the
     /// breaker: a quarantined endpoint still answers requests (they are
     /// verification-paged by the engine), it just stops being preferred.
     pub fn set_quarantined(&self, on: bool) {
         self.lock().quarantined = on;
-    }
-
-    /// Whether the endpoint is currently quarantined.
-    pub fn quarantined(&self) -> bool {
-        self.lock().quarantined
     }
 
     /// A consistent snapshot of all health counters.
@@ -699,12 +673,6 @@ impl EndpointHealth {
             latency_ewma: Duration::from_micros(inner.ewma_micros as u64),
             quarantined: inner.quarantined,
         }
-    }
-}
-
-impl Default for EndpointHealth {
-    fn default() -> Self {
-        EndpointHealth::new(BreakerConfig::default())
     }
 }
 
@@ -1086,7 +1054,7 @@ mod tests {
         // Two failures open the breaker; admissions then fail fast.
         health.record_failure();
         health.record_failure();
-        assert_eq!(health.state(), BreakerState::Open);
+        assert_eq!(health.snapshot().breaker, BreakerState::Open);
         assert!(matches!(health.admit(), Admission::Rejected { .. }));
         let snap = health.snapshot();
         assert_eq!(snap.failures, 2);
@@ -1096,6 +1064,6 @@ mod tests {
         std::thread::sleep(Duration::from_millis(60));
         assert_eq!(health.admit(), Admission::Probe);
         health.record_success(Duration::from_millis(5));
-        assert_eq!(health.state(), BreakerState::Closed);
+        assert_eq!(health.snapshot().breaker, BreakerState::Closed);
     }
 }

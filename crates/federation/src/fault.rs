@@ -1,28 +1,29 @@
 //! Deterministic fault injection for chaos testing.
 //!
-//! [`FaultyEndpoint`] wraps any [`SparqlEndpoint`] and injects the failure
+//! [`FaultyTransport`] wraps another [`Transport`] and injects the failure
 //! modes real Linked Data endpoints exhibit — latency spikes, dropped
 //! connections, 5xx bursts, malformed result bodies, or a hard outage —
 //! driven by a seeded SplitMix64 stream so every run is reproducible from
-//! its seed. The wrapper owns the same retry budget and
-//! [`EndpointHealth`] breaker as the HTTP transport, so chaos tests
-//! exercise exactly the failure semantics production requests see.
+//! its seed. It is a plain transport: it makes one attempt and classifies
+//! it, with no retries or breaker of its own. [`FaultyEndpoint`] puts it
+//! under the same [`Resilient`] retry/breaker loop as the HTTP and
+//! simulated transports, so chaos tests exercise exactly the code that
+//! handles real failures.
 //!
 //! The fault profile is switchable at runtime (`set_faults`), which is how
 //! the chaos suite demonstrates breaker *recovery*: inject a hard outage,
 //! watch the breaker open, clear the faults, and assert the half-open
 //! probe closes it again.
 
-use crate::endpoint::{EndpointError, SparqlEndpoint};
-use crate::erh::{
-    Admission, BreakerConfig, BreakerState, Deadline, EndpointHealth, HealthSnapshot,
-};
-use crate::network::TrafficSnapshot;
+use crate::endpoint::EndpointError;
+use crate::erh::Deadline;
+use crate::network::{CodecSnapshot, TrafficSnapshot};
+use crate::resilient::{Resilient, Transport};
 use lusail_sparql::ast::Query;
 use lusail_store::eval::QueryResult;
 use lusail_store::StoreStats;
-use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::sync::Mutex;
+use std::time::Duration;
 
 /// Which faults to inject, with what probability. Rates are independent
 /// per attempt and checked in field order; the first one that fires wins.
@@ -158,27 +159,19 @@ impl FaultProfile {
     }
 }
 
-/// Retry/backoff budget and the simulated cost of a failed attempt.
+/// The simulated cost of an injected failure. Retries and the breaker
+/// belong to the [`Resilient`] layer above (`with_retry`, `with_breaker`).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultyConfig {
-    /// Additional attempts after the first, on injected transport faults.
-    pub retries: u32,
-    /// Sleep before the first retry; doubles on each subsequent one.
-    pub backoff: Duration,
     /// Wall-clock cost of one failed attempt (the time a real client
     /// would spend discovering the connection is dead).
     pub failure_latency: Duration,
-    /// Circuit-breaker tuning.
-    pub breaker: BreakerConfig,
 }
 
 impl Default for FaultyConfig {
     fn default() -> Self {
         FaultyConfig {
-            retries: 2,
-            backoff: Duration::from_millis(2),
             failure_latency: Duration::from_millis(5),
-            breaker: BreakerConfig::default(),
         }
     }
 }
@@ -205,127 +198,114 @@ struct FaultState {
     served: u64,
 }
 
-/// A fault-injecting wrapper around another endpoint (see module docs).
-pub struct FaultyEndpoint {
-    inner: Arc<dyn SparqlEndpoint>,
+/// A fault-injecting transport around another transport (see module docs).
+pub struct FaultyTransport {
+    inner: Box<dyn Transport>,
     config: FaultyConfig,
     state: Mutex<FaultState>,
-    health: EndpointHealth,
 }
+
+/// A fault-injecting endpoint: [`FaultyTransport`] under the shared
+/// retry/breaker loop.
+pub type FaultyEndpoint = Resilient<FaultyTransport>;
 
 impl FaultyEndpoint {
     /// Wrap `inner`, injecting `profile` faults from the seeded stream.
-    pub fn new(inner: Arc<dyn SparqlEndpoint>, seed: u64, profile: FaultProfile) -> Self {
+    pub fn new(inner: impl Transport + 'static, seed: u64, profile: FaultProfile) -> Self {
         FaultyEndpoint::with_config(inner, seed, profile, FaultyConfig::default())
     }
 
-    /// Wrap `inner` with explicit retry/breaker tuning.
+    /// Wrap `inner` with an explicit failure cost.
     pub fn with_config(
-        inner: Arc<dyn SparqlEndpoint>,
+        inner: impl Transport + 'static,
         seed: u64,
         profile: FaultProfile,
         config: FaultyConfig,
     ) -> Self {
-        let health = EndpointHealth::new(config.breaker);
-        FaultyEndpoint {
-            inner,
+        Resilient::over(FaultyTransport {
+            inner: Box::new(inner),
             config,
             state: Mutex::new(FaultState {
                 profile,
                 rng: seed,
                 served: 0,
             }),
-            health,
-        }
+        })
     }
 
     /// Replace the fault profile at runtime (e.g. clear faults so a chaos
     /// test can watch the breaker recover). Resets the served-attempt
     /// counter, so a fresh `fail_after` window starts from zero.
     pub fn set_faults(&self, profile: FaultProfile) {
-        let mut state = self.lock_state();
+        let mut state = self.transport.lock_state();
         state.profile = profile;
         state.served = 0;
     }
+}
 
-    /// The active fault profile.
-    pub fn faults(&self) -> FaultProfile {
-        self.lock_state().profile
-    }
-
-    /// This wrapper's health registry snapshot (also available through
-    /// [`SparqlEndpoint::health`]).
-    pub fn health_snapshot(&self) -> HealthSnapshot {
-        self.health.snapshot()
-    }
-
+impl FaultyTransport {
     fn lock_state(&self) -> std::sync::MutexGuard<'_, FaultState> {
         self.state
             .lock()
             .unwrap_or_else(|poisoned| poisoned.into_inner())
     }
 
-    /// Inflate a successful plain-`SELECT` result to the profile's bomb
-    /// size, keeping the real header so the response stays well-shaped —
-    /// the point is to flood the federator with *valid* rows. ASK and
-    /// aggregate (COUNT) queries pass through so source selection and
-    /// cardinality probes behave normally and execution reaches the
-    /// subquery wave.
-    fn maybe_bomb(&self, query: &Query, result: QueryResult) -> QueryResult {
-        let Some(rows) = self.lock_state().profile.bomb_rows else {
-            return result;
-        };
-        let QueryResult::Solutions(rel) = &result else {
-            return result;
-        };
-        if !is_plain_select(query) || rel.vars().is_empty() {
-            return result;
-        }
-        let vars = rel.vars().to_vec();
-        let mut bomb = lusail_sparql::solution::Relation::new(vars.clone());
-        for i in 0..rows {
-            bomb.push(
-                (0..vars.len())
-                    .map(|c| {
-                        Some(lusail_rdf::Term::iri(format!(
-                            "http://bomb.example.org/r{i:08}/c{c}"
-                        )))
-                    })
-                    .collect(),
-            );
-        }
-        QueryResult::Solutions(bomb)
-    }
-
-    /// Apply the lying-endpoint profile knobs to a successful answer:
-    /// silently cap plain-`SELECT` rows at `silent_truncate` (a clean
-    /// `200 OK`, no error anywhere), and multiply `COUNT` aggregate
-    /// answers by `miscount_factor`. Both are pure functions of the
-    /// profile — no randomness — so they are trivially deterministic
-    /// under `LUSAIL_CHAOS_SEED`.
-    fn maybe_lie(&self, query: &Query, mut result: QueryResult) -> QueryResult {
+    /// Distort a successful answer per the profile. None of this draws
+    /// randomness, so it is trivially deterministic under
+    /// `LUSAIL_CHAOS_SEED`. Only plain `SELECT`s (and, for miscounting,
+    /// `COUNT` aggregates) are touched: ASK and COUNT probes answer
+    /// truthfully, so source selection and cardinality estimation behave
+    /// normally and execution reaches the subquery wave.
+    ///
+    /// * `panic_on_select` panics instead of answering;
+    /// * `bomb_rows` replaces the rows with a fabricated flood under the
+    ///   real header, so the response stays well-shaped *valid* rows;
+    /// * `silent_truncate` caps the rows with a clean `200 OK`;
+    /// * `miscount_factor` multiplies a `COUNT` answer.
+    fn distort(&self, query: &Query, mut result: QueryResult) -> QueryResult {
         let profile = self.lock_state().profile;
-        if let Some(cap) = profile.silent_truncate {
-            if is_plain_select(query) {
-                if let QueryResult::Solutions(rel) = &mut result {
-                    rel.rows_mut().truncate(cap);
-                }
-            }
+        let select = is_plain_select(query);
+        if profile.panic_on_select && select {
+            panic!("injected fault: endpoint panicked evaluating a SELECT");
         }
-        if let Some(factor) = profile.miscount_factor {
-            if is_count_select(query) {
-                if let QueryResult::Solutions(rel) = &mut result {
-                    if let Some(cell) = rel.rows_mut().first_mut().and_then(|r| r.first_mut()) {
-                        let real = cell
-                            .as_ref()
-                            .and_then(|t| t.as_literal())
-                            .and_then(|l| l.as_i64())
-                            .unwrap_or(0);
-                        let lied = ((real as f64) * factor).round().max(0.0) as i64;
-                        *cell = Some(lusail_rdf::Term::integer(lied));
-                    }
+        let QueryResult::Solutions(rel) = &mut result else {
+            return result;
+        };
+        match profile.bomb_rows {
+            Some(rows) if select && !rel.vars().is_empty() => {
+                let mut bomb = lusail_sparql::solution::Relation::new(rel.vars().to_vec());
+                for i in 0..rows {
+                    bomb.push(
+                        (0..rel.vars().len())
+                            .map(|c| {
+                                Some(lusail_rdf::Term::iri(format!(
+                                    "http://bomb.example.org/r{i:08}/c{c}"
+                                )))
+                            })
+                            .collect(),
+                    );
+                }
+                *rel = bomb;
+            }
+            _ => {}
+        }
+        match profile.silent_truncate {
+            Some(cap) if select => rel.rows_mut().truncate(cap),
+            _ => {}
+        }
+        match profile.miscount_factor {
+            Some(factor) if is_count_select(query) => {
+                if let Some(cell) = rel.rows_mut().first_mut().and_then(|r| r.first_mut()) {
+                    let real = cell
+                        .as_ref()
+                        .and_then(|t| t.as_literal())
+                        .and_then(|l| l.as_i64())
+                        .unwrap_or(0);
+                    let lied = ((real as f64) * factor).round().max(0.0) as i64;
+                    *cell = Some(lusail_rdf::Term::integer(lied));
                 }
             }
+            _ => {}
         }
         result
     }
@@ -396,115 +376,60 @@ fn is_count_select(query: &Query) -> bool {
     }
 }
 
-impl SparqlEndpoint for FaultyEndpoint {
+impl Transport for FaultyTransport {
     fn name(&self) -> &str {
         self.inner.name()
     }
 
-    fn execute_within(
+    fn attempt(
         &self,
         query: &Query,
-        deadline: Deadline,
-    ) -> Result<QueryResult, EndpointError> {
-        if let Admission::Rejected { retry_in } = self.health.admit() {
-            return Err(EndpointError::circuit_open(self.name(), retry_in));
-        }
-        let attempts = self.config.retries + 1;
-        let mut made = 0u32;
-        let mut last_failure = String::new();
-        for attempt in 0..attempts {
-            if attempt > 0 {
-                let pause = self.config.backoff * (1 << (attempt - 1).min(16));
-                deadline.pause(pause);
+        deadline: &Deadline,
+    ) -> Result<(QueryResult, bool), EndpointError> {
+        let failure = match self.next_fault() {
+            InjectedFault::None => None,
+            InjectedFault::Spike(spike) => {
+                deadline.pause(spike);
                 if deadline.expired() {
-                    return Err(EndpointError::expired(self.name(), &deadline));
+                    return Err(EndpointError::expired(self.name(), deadline));
                 }
-                self.health.record_retry();
+                None
             }
-            if deadline.expired() {
-                return Err(EndpointError::expired(self.name(), &deadline));
-            }
-            made = attempt + 1;
-            let fault = self.next_fault();
-            let failure = match fault {
-                InjectedFault::None => None,
-                InjectedFault::Spike(spike) => {
-                    deadline.pause(spike);
-                    if deadline.expired() {
-                        return Err(EndpointError::expired(self.name(), &deadline));
-                    }
-                    None
-                }
-                InjectedFault::Hang => {
-                    // Accepted, never answered. A wedged upstream does not
-                    // honor our time budget, so with a cancel token
-                    // attached only the token frees the slot — the query
-                    // wedges right past its deadline, which is precisely
-                    // the failure the service watchdog exists to reap.
-                    // Without a token, the hard deadline is the sole
-                    // escape (an unbounded deadline really does hang —
-                    // that is the fault being modeled).
-                    match deadline.token() {
-                        Some(token) => {
-                            while token.wait_timeout(Duration::from_millis(20)).is_none() {}
-                        }
-                        None => {
-                            while !deadline.expired() {
-                                deadline.pause(Duration::from_millis(20));
-                            }
+            InjectedFault::Hang => {
+                // Accepted, never answered. A wedged upstream does not
+                // honor our time budget, so with a cancel token attached
+                // only the token frees the slot — the query wedges right
+                // past its deadline, which is precisely the failure the
+                // service watchdog exists to reap. Without a token, the
+                // hard deadline is the sole escape (an unbounded deadline
+                // really does hang — that is the fault being modeled).
+                match deadline.token() {
+                    Some(token) => while token.wait_timeout(Duration::from_millis(20)).is_none() {},
+                    None => {
+                        while !deadline.expired() {
+                            deadline.pause(Duration::from_millis(20));
                         }
                     }
-                    return Err(EndpointError::expired(self.name(), &deadline));
                 }
-                InjectedFault::Drop => Some("connection dropped (injected fault)"),
-                InjectedFault::ServerError => Some("HTTP 503 (injected fault)"),
-                InjectedFault::Malformed => {
-                    // Malformed bodies are rejections, like the HTTP
-                    // client's "unparseable results": no retry, no breaker
-                    // strike — the transport itself worked.
-                    self.health.record_success(self.config.failure_latency);
-                    return Err(EndpointError::rejected(
-                        self.name(),
-                        "unparseable results (injected fault)",
-                    ));
-                }
-            };
-            if let Some(message) = failure {
-                deadline.pause(self.config.failure_latency);
-                if deadline.expired() {
-                    return Err(EndpointError::expired(self.name(), &deadline));
-                }
-                self.health.record_failure();
-                last_failure = message.to_string();
-                if self.health.state() == BreakerState::Open {
-                    break;
-                }
-                continue;
+                return Err(EndpointError::expired(self.name(), deadline));
             }
-            let started = Instant::now();
-            return match self.inner.execute_within(query, deadline.clone()) {
-                Ok(result) => {
-                    self.health.record_success(started.elapsed());
-                    if self.lock_state().profile.panic_on_select && is_plain_select(query) {
-                        panic!("injected fault: endpoint panicked evaluating a SELECT");
-                    }
-                    Ok(self.maybe_lie(query, self.maybe_bomb(query, result)))
-                }
-                // The wrapped endpoint's own failures pass through with
-                // their kind intact; transport ones count against the
-                // shared breaker here (the wrapper *is* the transport).
-                Err(e) => {
-                    if e.kind == crate::FailureKind::Transport {
-                        self.health.record_failure();
-                    }
-                    Err(e)
-                }
-            };
+            InjectedFault::Drop => Some("connection dropped (injected fault)"),
+            InjectedFault::ServerError => Some("HTTP 503 (injected fault)"),
+            // Malformed bodies are rejections, like the HTTP transport's
+            // "unparseable results": the transport itself worked.
+            InjectedFault::Malformed => {
+                return Err(EndpointError::rejected(
+                    self.name(),
+                    "unparseable results (injected fault)",
+                ))
+            }
+        };
+        if let Some(message) = failure {
+            deadline.pause(self.config.failure_latency);
+            return Err(EndpointError::transport(self.name(), message));
         }
-        Err(EndpointError::transport(
-            self.name(),
-            format!("giving up after {made} attempts: {last_failure}"),
-        ))
+        let (result, truncated) = self.inner.attempt(query, deadline)?;
+        Ok((self.distort(query, result), truncated))
     }
 
     fn traffic(&self) -> TrafficSnapshot {
@@ -515,12 +440,8 @@ impl SparqlEndpoint for FaultyEndpoint {
         self.inner.reset_traffic();
     }
 
-    fn health(&self) -> Option<HealthSnapshot> {
-        Some(self.health.snapshot())
-    }
-
-    fn set_quarantined(&self, on: bool) {
-        self.health.set_quarantined(on);
+    fn codec(&self) -> Option<CodecSnapshot> {
+        self.inner.codec()
     }
 
     fn collect_stats(&self) -> Option<StoreStats> {
@@ -531,38 +452,44 @@ impl SparqlEndpoint for FaultyEndpoint {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::endpoint::{FailureKind, SimulatedEndpoint};
+    use crate::endpoint::{FailureKind, SimulatedTransport, SparqlEndpoint};
+    use crate::erh::{BreakerConfig, BreakerState};
     use crate::network::NetworkProfile;
+    use crate::resilient::RetryPolicy;
     use lusail_rdf::{Graph, Term};
     use lusail_sparql::parse_query;
     use lusail_store::Store;
+    use std::sync::Arc;
+    use std::time::Instant;
 
-    fn wrapped(seed: u64, profile: FaultProfile, config: FaultyConfig) -> FaultyEndpoint {
+    /// A fault injector over a one-triple store, with retries, backoff,
+    /// failure cost and breaker cooldown all at test pace.
+    fn wrapped(seed: u64, profile: FaultProfile) -> FaultyEndpoint {
         let mut g = Graph::new();
         g.add(
             Term::iri("http://x/a"),
             Term::iri("http://x/p"),
             Term::iri("http://x/b"),
         );
-        let inner = Arc::new(SimulatedEndpoint::new(
-            "chaotic",
-            Store::from_graph(&g),
-            NetworkProfile::instant(),
-        ));
-        FaultyEndpoint::with_config(inner, seed, profile, config)
-    }
-
-    fn fast_config() -> FaultyConfig {
-        FaultyConfig {
+        let inner =
+            SimulatedTransport::new("chaotic", Store::from_graph(&g), NetworkProfile::instant());
+        FaultyEndpoint::with_config(
+            inner,
+            seed,
+            profile,
+            FaultyConfig {
+                failure_latency: Duration::from_millis(1),
+            },
+        )
+        .with_retry(RetryPolicy {
             retries: 2,
             backoff: Duration::from_millis(1),
-            failure_latency: Duration::from_millis(1),
-            breaker: BreakerConfig {
-                failure_threshold: 3,
-                cooldown: Duration::from_millis(30),
-                ewma_alpha: 0.2,
-            },
-        }
+        })
+        .with_breaker(BreakerConfig {
+            failure_threshold: 3,
+            cooldown: Duration::from_millis(30),
+            ewma_alpha: 0.2,
+        })
     }
 
     fn query() -> Query {
@@ -571,36 +498,11 @@ mod tests {
 
     #[test]
     fn no_faults_forwards_transparently() {
-        let ep = wrapped(1, FaultProfile::none(), fast_config());
+        let ep = wrapped(1, FaultProfile::none());
         assert_eq!(ep.select(&query()).unwrap().len(), 1);
         assert_eq!(ep.name(), "chaotic");
-        let h = ep.health_snapshot();
+        let h = ep.health().unwrap();
         assert_eq!((h.requests, h.failures), (1, 0));
-    }
-
-    #[test]
-    fn hard_down_burns_retries_then_opens_breaker() {
-        let ep = wrapped(2, FaultProfile::hard_down(), fast_config());
-        let err = ep.select(&query()).unwrap_err();
-        assert_eq!(err.kind, FailureKind::Transport);
-        assert!(err.message.contains("3 attempts"), "{err}");
-        assert!(err.message.contains("dropped"), "{err}");
-        // Threshold 3 was hit during those attempts: now failing fast.
-        let err = ep.select(&query()).unwrap_err();
-        assert_eq!(err.kind, FailureKind::CircuitOpen);
-        assert_eq!(ep.health_snapshot().breaker, BreakerState::Open);
-    }
-
-    #[test]
-    fn recovery_after_faults_clear() {
-        let ep = wrapped(3, FaultProfile::hard_down(), fast_config());
-        assert!(ep.select(&query()).is_err());
-        assert_eq!(ep.health_snapshot().breaker, BreakerState::Open);
-        ep.set_faults(FaultProfile::none());
-        std::thread::sleep(Duration::from_millis(40));
-        // Cooldown elapsed: the probe goes through and closes the breaker.
-        assert_eq!(ep.select(&query()).unwrap().len(), 1);
-        assert_eq!(ep.health_snapshot().breaker, BreakerState::Closed);
     }
 
     #[test]
@@ -611,12 +513,11 @@ mod tests {
                 malformed_rate: 1.0,
                 ..FaultProfile::none()
             },
-            fast_config(),
         );
         let err = ep.select(&query()).unwrap_err();
         assert_eq!(err.kind, FailureKind::Rejected);
         assert!(err.message.contains("unparseable"), "{err}");
-        let h = ep.health_snapshot();
+        let h = ep.health().unwrap();
         assert_eq!(h.failures, 0, "rejections must not trip the breaker");
         assert_eq!(h.breaker, BreakerState::Closed);
     }
@@ -629,7 +530,7 @@ mod tests {
             ..FaultProfile::none()
         };
         let observe = |seed: u64| -> Vec<bool> {
-            let ep = wrapped(seed, profile, fast_config());
+            let ep = wrapped(seed, profile);
             (0..30).map(|_| ep.select(&query()).is_ok()).collect()
         };
         assert_eq!(observe(42), observe(42), "equal seeds must replay");
@@ -645,7 +546,6 @@ mod tests {
                 spike: Duration::from_millis(25),
                 ..FaultProfile::none()
             },
-            fast_config(),
         );
         let started = Instant::now();
         assert_eq!(ep.select(&query()).unwrap().len(), 1);
@@ -662,7 +562,7 @@ mod tests {
 
     #[test]
     fn fail_after_kills_the_endpoint_at_a_deterministic_point() {
-        let ep = wrapped(7, FaultProfile::dies_after(3), fast_config());
+        let ep = wrapped(7, FaultProfile::dies_after(3));
         for _ in 0..3 {
             assert_eq!(ep.select(&query()).unwrap().len(), 1);
         }
@@ -678,7 +578,7 @@ mod tests {
 
     #[test]
     fn result_bomb_inflates_selects_but_spares_ask_and_count() {
-        let ep = wrapped(8, FaultProfile::result_bomb(5000), fast_config());
+        let ep = wrapped(8, FaultProfile::result_bomb(5000));
         let rel = ep.select(&query()).unwrap();
         assert_eq!(rel.len(), 5000, "SELECT must get the fabricated flood");
         assert_eq!(rel.vars().len(), 1, "the real header is preserved");
@@ -704,7 +604,7 @@ mod tests {
 
     #[test]
     fn silent_truncate_caps_selects_but_answers_counts_truthfully() {
-        let ep = wrapped(11, FaultProfile::silent_truncate(0), fast_config());
+        let ep = wrapped(11, FaultProfile::silent_truncate(0));
         // A clean 200 OK with zero rows — no error anywhere to catch.
         assert_eq!(ep.select(&query()).unwrap().len(), 0);
         // ASK and COUNT pass through truthfully: the honest COUNT is the
@@ -714,10 +614,10 @@ mod tests {
         let count = parse_query("SELECT (COUNT(*) AS ?c) WHERE { ?s <http://x/p> ?o }").unwrap();
         assert_eq!(ep.count(&count).unwrap(), 1);
         // A cap above the result size leaves it untouched; deterministic.
-        let ep = wrapped(11, FaultProfile::silent_truncate(5), fast_config());
+        let ep = wrapped(11, FaultProfile::silent_truncate(5));
         assert_eq!(ep.select(&query()).unwrap().len(), 1);
         assert_eq!(
-            ep.health_snapshot().failures,
+            ep.health().unwrap().failures,
             0,
             "200 OK means no breaker strikes"
         );
@@ -725,20 +625,20 @@ mod tests {
 
     #[test]
     fn miscounts_inflates_counts_but_answers_selects_truthfully() {
-        let ep = wrapped(12, FaultProfile::miscounts(20.0), fast_config());
+        let ep = wrapped(12, FaultProfile::miscounts(20.0));
         // SELECTs deliver the real single row.
         assert_eq!(ep.select(&query()).unwrap().len(), 1);
         // COUNT claims 20× the truth, twice in a row (deterministic).
         let count = parse_query("SELECT (COUNT(*) AS ?c) WHERE { ?s <http://x/p> ?o }").unwrap();
         assert_eq!(ep.count(&count).unwrap(), 20);
         assert_eq!(ep.count(&count).unwrap(), 20);
-        let h = ep.health_snapshot();
+        let h = ep.health().unwrap();
         assert_eq!(h.failures, 0, "a lying endpoint never trips the breaker");
     }
 
     #[test]
     fn quarantine_flag_round_trips_through_health() {
-        let ep = wrapped(13, FaultProfile::none(), fast_config());
+        let ep = wrapped(13, FaultProfile::none());
         assert!(!ep.health().unwrap().quarantined);
         ep.set_quarantined(true);
         assert!(ep.health().unwrap().quarantined);
@@ -749,7 +649,7 @@ mod tests {
     #[test]
     fn hang_blocks_until_deadline_or_cancel() {
         use crate::cancel::{CancelReason, CancelToken};
-        let ep = Arc::new(wrapped(9, FaultProfile::hang(), fast_config()));
+        let ep = Arc::new(wrapped(9, FaultProfile::hang()));
         // Token-less: the hard time deadline is the only escape.
         let started = Instant::now();
         let err = ep
@@ -778,7 +678,7 @@ mod tests {
 
     #[test]
     fn injected_panic_fires_on_select_but_spares_probes() {
-        let ep = wrapped(10, FaultProfile::panics_on_select(), fast_config());
+        let ep = wrapped(10, FaultProfile::panics_on_select());
         // Analysis probes pass through untouched.
         let ask = parse_query("ASK WHERE { ?s <http://x/p> ?o }").unwrap();
         assert!(ep.ask(&ask).unwrap());
@@ -798,12 +698,11 @@ mod tests {
                 error_rate: 1.0,
                 ..FaultProfile::none()
             },
-            fast_config(),
         );
         let err = ep.select(&query()).unwrap_err();
         assert_eq!(err.kind, FailureKind::Transport);
         assert!(err.message.contains("503"), "{err}");
-        let h = ep.health_snapshot();
+        let h = ep.health().unwrap();
         assert_eq!(h.retries, 2);
         assert_eq!(h.failures, 3);
     }

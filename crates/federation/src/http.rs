@@ -1,32 +1,33 @@
 //! A real HTTP transport for SPARQL endpoints, built on `std::net` only.
 //!
-//! [`HttpEndpoint`] implements [`SparqlEndpoint`] by speaking the SPARQL
-//! 1.1 Protocol over hand-rolled HTTP/1.1: it POSTs the query as
-//! `application/sparql-query` (or GETs `?query=` when configured),
-//! reads Content-Length or chunked responses, and parses the
-//! `application/sparql-results+json` body with [`crate::results_json`].
+//! [`HttpTransport`] makes one SPARQL 1.1 Protocol attempt over
+//! hand-rolled HTTP/1.1: it POSTs the query as `application/sparql-query`
+//! (or GETs `?query=` when configured), reads Content-Length or chunked
+//! responses, and streams the results body through [`crate::results_json`]
+//! or [`crate::results_bin`], whichever the server answered in.
+//! [`HttpEndpoint`] is that transport under the shared
+//! [`Resilient`](crate::resilient::Resilient) retry/breaker loop.
 //!
-//! Reliability knobs live in [`HttpConfig`]: a per-attempt deadline that
-//! bounds connect, send, and every read; and retry with doubling backoff
-//! on connect/transport errors and 5xx responses (4xx and malformed
-//! result documents fail immediately — retrying a rejected query cannot
-//! help). Connections are kept alive and reused across requests; a stale
-//! pooled connection simply burns one retry. The CLI surfaces the retry
-//! budget as `lusail query --retries N --backoff MS`. Retries here are
-//! *per member*; failing over to a different mirror of the same dataset
-//! is the layer above — see [`crate::replica::ReplicaGroup`].
+//! The transport only does I/O and classifies what it saw: socket errors
+//! and 5xx responses are `Transport` failures (the loop retries them with
+//! doubling backoff); 4xx responses, malformed result documents and
+//! result bombs cut off by the row cap are `Rejected` (retrying cannot
+//! help). [`HttpConfig`] bounds each attempt by a per-attempt deadline
+//! clamped to the query's. Connections are kept alive and reused; a stale
+//! pooled connection simply burns one retry. Retries are *per member*;
+//! failing over to a different mirror of the same dataset is the layer
+//! above — see [`crate::replica::ReplicaGroup`].
 //!
-//! Traffic accounting mirrors [`SimulatedEndpoint`](crate::SimulatedEndpoint):
-//! requests, bytes on the wire in both directions, and the measured
-//! network time (here it is *real* wall-clock time spent on the socket,
-//! reported through the same `simulated_network_time` field).
+//! Traffic accounting mirrors the simulated transport: requests, bytes on
+//! the wire in both directions, and the measured network time (here it is
+//! *real* wall-clock time spent on the socket, reported through the same
+//! `simulated_network_time` field).
 
 use crate::cancel::CancelToken;
-use crate::endpoint::{EndpointError, SparqlEndpoint};
-use crate::erh::{
-    Admission, BreakerConfig, BreakerState, Deadline, EndpointHealth, HealthSnapshot,
-};
+use crate::endpoint::EndpointError;
+use crate::erh::Deadline;
 use crate::network::{CodecCounters, CodecSnapshot, RequestCounters, TrafficSnapshot};
+use crate::resilient::{Resilient, Transport};
 use crate::results_bin;
 use crate::results_json;
 use lusail_sparql::ast::Query;
@@ -110,11 +111,6 @@ pub struct HttpConfig {
     pub connect_timeout: Duration,
     /// Overall deadline for one request attempt (send + all reads).
     pub request_timeout: Duration,
-    /// Additional attempts after the first, on connect/transport errors
-    /// and 5xx responses.
-    pub retries: u32,
-    /// Sleep before the first retry; doubles on each subsequent one.
-    pub backoff: Duration,
     /// Send `GET ?query=…` instead of `POST application/sparql-query`.
     pub use_get: bool,
     /// Row cap applied *while parsing* the streamed response body: a
@@ -134,8 +130,6 @@ impl Default for HttpConfig {
         HttpConfig {
             connect_timeout: Duration::from_secs(5),
             request_timeout: Duration::from_secs(30),
-            retries: 2,
-            backoff: Duration::from_millis(50),
             use_get: false,
             max_result_rows: None,
             offer_binary: true,
@@ -143,59 +137,57 @@ impl Default for HttpConfig {
     }
 }
 
-/// A remote SPARQL endpoint reached over HTTP.
-pub struct HttpEndpoint {
-    name: String,
-    url: Url,
-    config: HttpConfig,
-    counters: RequestCounters,
-    codec: CodecCounters,
-    health: EndpointHealth,
-    /// Pooled keep-alive connection, reused across requests.
-    conn: Mutex<Option<TcpStream>>,
-}
+/// A remote SPARQL endpoint reached over HTTP: [`HttpTransport`] under the
+/// shared retry/breaker loop.
+pub type HttpEndpoint = Resilient<HttpTransport>;
 
 impl HttpEndpoint {
     /// Create an endpoint from a URL string like
     /// `http://127.0.0.1:8890/sparql`.
     pub fn new(name: impl Into<String>, url: &str) -> Result<Self, EndpointError> {
+        HttpTransport::new(name, url).map(Resilient::over)
+    }
+
+    /// Override the transport settings.
+    pub fn with_config(mut self, config: HttpConfig) -> Self {
+        self.transport.config = config;
+        self
+    }
+}
+
+/// One HTTP attempt per call: pooling, codec negotiation, streaming caps
+/// and `X-Lusail-Truncated`, with no retries of its own.
+pub struct HttpTransport {
+    name: String,
+    url: Url,
+    config: HttpConfig,
+    counters: RequestCounters,
+    codec: CodecCounters,
+    /// Pooled keep-alive connection, reused across requests.
+    conn: Mutex<Option<TcpStream>>,
+}
+
+impl HttpTransport {
+    /// A transport for a URL string like `http://127.0.0.1:8890/sparql`.
+    pub fn new(name: impl Into<String>, url: &str) -> Result<Self, EndpointError> {
         let name = name.into();
         let url =
             Url::parse(url).map_err(|message| EndpointError::rejected(name.clone(), message))?;
-        Ok(HttpEndpoint {
+        Ok(HttpTransport {
             name,
             url,
             config: HttpConfig::default(),
             counters: RequestCounters::new(),
             codec: CodecCounters::new(),
-            health: EndpointHealth::new(BreakerConfig::default()),
             conn: Mutex::new(None),
         })
     }
 
-    /// Override the transport settings.
-    pub fn with_config(mut self, config: HttpConfig) -> Self {
-        self.config = config;
-        self
-    }
-
-    /// Override the circuit-breaker tuning.
-    pub fn with_breaker(mut self, config: BreakerConfig) -> Self {
-        self.health = EndpointHealth::new(config);
-        self
-    }
-
-    /// The endpoint URL.
-    pub fn url(&self) -> &Url {
-        &self.url
-    }
-
-    /// One attempt: send the request, read one response before `deadline`,
-    /// streaming a 200 body through the capped results parser as it
-    /// arrives. Transport failures come back as `Err(io)`; any complete
-    /// HTTP response — even a 500 — is `Ok`. The second tuple element is
-    /// the wire bytes read.
-    fn attempt(
+    /// Send the request, read one response before `deadline`, streaming a
+    /// 200 body through the capped results parser as it arrives. Socket
+    /// failures come back as `Err(io)`; any complete HTTP response — even
+    /// a 500 — is `Ok`. The second tuple element is the wire bytes read.
+    fn exchange(
         &self,
         request: &[u8],
         deadline: Instant,
@@ -285,159 +277,85 @@ impl HttpEndpoint {
             req
         }
     }
-
-    /// The full request loop, returning the result together with whether
-    /// the server advertised truncation (`X-Lusail-Truncated`) on the
-    /// winning response. `execute_within` discards the flag;
-    /// `select_with_meta` surfaces it to the integrity layer.
-    fn execute_meta(
-        &self,
-        query: &Query,
-        deadline: Deadline,
-    ) -> Result<(QueryResult, bool), EndpointError> {
-        // Consult the breaker first: an open circuit fails fast without
-        // touching the network or burning any of the retry budget.
-        if let Admission::Rejected { retry_in } = self.health.admit() {
-            return Err(EndpointError::circuit_open(&self.name, retry_in));
-        }
-        let text = lusail_sparql::serializer::serialize_query(query);
-        let request = self.build_request(&text);
-        let attempts = self.config.retries + 1;
-        let mut made = 0u32;
-        let mut last_failure = String::new();
-        for attempt in 0..attempts {
-            if attempt > 0 {
-                let pause = self.config.backoff * (1 << (attempt - 1).min(16));
-                // Backoff sleeps never overrun the query budget, and a
-                // cancel token trips them awake immediately.
-                deadline.pause(pause);
-                if deadline.expired() {
-                    return Err(EndpointError::expired(&self.name, &deadline));
-                }
-                self.health.record_retry();
-            }
-            // Each attempt gets the smaller of the per-attempt timeout and
-            // whatever is left of the query budget.
-            let budget = deadline.clamp(self.config.request_timeout);
-            if budget.is_zero() {
-                return Err(EndpointError::expired(&self.name, &deadline));
-            }
-            made = attempt + 1;
-            let started = Instant::now();
-            match self.attempt(&request, started + budget, deadline.token()) {
-                Ok((outcome, wire_bytes)) => {
-                    self.counters
-                        .record(request.len(), wire_bytes, started.elapsed());
-                    match outcome {
-                        AttemptOutcome::Results(streamed, codec, server_truncated) => {
-                            self.health.record_success(started.elapsed());
-                            match codec {
-                                ResponseCodec::Binary { dict_terms } => {
-                                    self.codec.record_binary(wire_bytes, dict_terms)
-                                }
-                                ResponseCodec::Json => {
-                                    self.codec.record_json(wire_bytes, self.config.offer_binary)
-                                }
-                            }
-                            if streamed.truncated {
-                                // The cap fired mid-parse: a result bomb.
-                                // Rejected, not retried — asking again
-                                // yields the same bomb.
-                                let cap = self.config.max_result_rows.unwrap_or(0);
-                                return Err(EndpointError::rejected(
-                                    &self.name,
-                                    format!(
-                                        "response from {} exceeded --max-result-rows ({cap}): \
-                                         truncated while parsing, rest of body unread",
-                                        self.url
-                                    ),
-                                ));
-                            }
-                            return Ok((streamed.result, server_truncated));
-                        }
-                        AttemptOutcome::Malformed(message) => {
-                            // A complete 200 whose body is not a results
-                            // document: the transport worked, the content
-                            // is bad — don't retry.
-                            self.health.record_success(started.elapsed());
-                            return Err(EndpointError::rejected(
-                                &self.name,
-                                format!("unparseable results from {}: {message}", self.url),
-                            ));
-                        }
-                        AttemptOutcome::Status {
-                            status: status @ 500..=599,
-                            body_head,
-                        } => {
-                            self.health.record_failure();
-                            last_failure = format!("HTTP {status} from {}: {body_head}", self.url);
-                        }
-                        AttemptOutcome::Status { status, body_head } => {
-                            // 4xx (and anything else unexpected) is the
-                            // server rejecting *this query* — don't retry.
-                            // The transport itself worked, so the breaker
-                            // sees a success.
-                            self.health.record_success(started.elapsed());
-                            return Err(EndpointError::rejected(
-                                &self.name,
-                                format!("HTTP {status} from {}: {body_head}", self.url),
-                            ));
-                        }
-                    }
-                }
-                Err(e) => {
-                    self.counters.record(request.len(), 0, started.elapsed());
-                    if deadline.expired() {
-                        // Our own budget clipped this attempt (or its
-                        // cancel token tripped mid-read); that is not
-                        // evidence against the endpoint.
-                        return Err(EndpointError::expired(&self.name, &deadline));
-                    }
-                    self.health.record_failure();
-                    last_failure = format!("transport error talking to {}: {e}", self.url);
-                }
-            }
-            if self.health.state() == BreakerState::Open {
-                // The breaker opened mid-request (possibly fed by parallel
-                // requests): stop retrying a circuit everyone else is
-                // already failing fast on.
-                break;
-            }
-        }
-        Err(EndpointError::transport(
-            &self.name,
-            format!("giving up after {made} attempts: {last_failure}"),
-        ))
-    }
 }
 
-impl SparqlEndpoint for HttpEndpoint {
+impl Transport for HttpTransport {
     fn name(&self) -> &str {
         &self.name
     }
 
-    fn execute_within(
+    /// One HTTP exchange, classified: socket failures and 5xx are
+    /// `Transport` (retryable); 4xx, unparseable bodies and result bombs
+    /// cut off by the row cap are `Rejected`.
+    fn attempt(
         &self,
         query: &Query,
-        deadline: Deadline,
-    ) -> Result<QueryResult, EndpointError> {
-        Ok(self.execute_meta(query, deadline)?.0)
-    }
-
-    fn select_with_meta(
-        &self,
-        query: &Query,
-        deadline: Deadline,
-    ) -> Result<crate::endpoint::SelectResponse, EndpointError> {
-        let (result, truncated) = self.execute_meta(query, deadline)?;
-        Ok(crate::endpoint::SelectResponse {
-            rows: result.into_solutions(),
-            truncated,
-        })
-    }
-
-    fn set_quarantined(&self, on: bool) {
-        self.health.set_quarantined(on);
+        deadline: &Deadline,
+    ) -> Result<(QueryResult, bool), EndpointError> {
+        let text = lusail_sparql::serializer::serialize_query(query);
+        let request = self.build_request(&text);
+        // The attempt gets the smaller of the per-attempt timeout and
+        // whatever is left of the query budget.
+        let started = Instant::now();
+        let until = started + deadline.clamp(self.config.request_timeout);
+        let (outcome, wire_bytes) = match self.exchange(&request, until, deadline.token()) {
+            Ok(exchanged) => exchanged,
+            Err(e) => {
+                self.counters.record(request.len(), 0, started.elapsed());
+                return Err(EndpointError::transport(
+                    &self.name,
+                    format!("transport error talking to {}: {e}", self.url),
+                ));
+            }
+        };
+        self.counters
+            .record(request.len(), wire_bytes, started.elapsed());
+        match outcome {
+            AttemptOutcome::Results {
+                result,
+                capped,
+                dict_terms,
+                server_truncated,
+            } => {
+                match dict_terms {
+                    Some(terms) => self.codec.record_binary(wire_bytes, terms),
+                    None => self.codec.record_json(wire_bytes, self.config.offer_binary),
+                }
+                if capped {
+                    // The cap fired mid-parse: a result bomb. Asking again
+                    // yields the same bomb.
+                    let cap = self.config.max_result_rows.unwrap_or(0);
+                    return Err(EndpointError::rejected(
+                        &self.name,
+                        format!(
+                            "response from {} exceeded --max-result-rows ({cap}): \
+                             truncated while parsing, rest of body unread",
+                            self.url
+                        ),
+                    ));
+                }
+                Ok((result, server_truncated))
+            }
+            // A complete 200 whose body is not a results document: the
+            // transport worked, the content is bad.
+            AttemptOutcome::Malformed(message) => Err(EndpointError::rejected(
+                &self.name,
+                format!("unparseable results from {}: {message}", self.url),
+            )),
+            AttemptOutcome::Status {
+                status: status @ 500..=599,
+                body_head,
+            } => Err(EndpointError::transport(
+                &self.name,
+                format!("HTTP {status} from {}: {body_head}", self.url),
+            )),
+            // 4xx (and anything else unexpected) is the server rejecting
+            // *this query*.
+            AttemptOutcome::Status { status, body_head } => Err(EndpointError::rejected(
+                &self.name,
+                format!("HTTP {status} from {}: {body_head}", self.url),
+            )),
+        }
     }
 
     fn traffic(&self) -> TrafficSnapshot {
@@ -446,10 +364,6 @@ impl SparqlEndpoint for HttpEndpoint {
 
     fn reset_traffic(&self) {
         self.counters.reset();
-    }
-
-    fn health(&self) -> Option<HealthSnapshot> {
-        Some(self.health.snapshot())
     }
 
     fn codec(&self) -> Option<CodecSnapshot> {
@@ -461,27 +375,22 @@ impl SparqlEndpoint for HttpEndpoint {
 /// of view. The body of a 200 is consumed *while parsing* — there is no
 /// buffered-whole-body representation of a results response any more.
 enum AttemptOutcome {
-    /// A 200 whose body parsed as a results document (possibly cut short
-    /// by the row cap — see [`results_json::StreamedResult::truncated`]),
-    /// tagged with the codec the server actually answered in and whether
-    /// the *server* advertised that it truncated the result
-    /// (`X-Lusail-Truncated` — ground truth for the integrity layer,
-    /// distinct from our own client-side parse cap).
-    Results(results_json::StreamedResult, ResponseCodec, bool),
+    /// A 200 whose body parsed as a results document.
+    Results {
+        result: QueryResult,
+        /// Our own row cap cut the parse short (a result bomb).
+        capped: bool,
+        /// The term-dictionary size when the server answered in the
+        /// binary codec; `None` for SPARQL-JSON.
+        dict_terms: Option<usize>,
+        /// The *server* advertised that it truncated the result
+        /// (`X-Lusail-Truncated` — ground truth for the integrity layer).
+        server_truncated: bool,
+    },
     /// A complete 200 whose body is not a results document.
     Malformed(String),
     /// Any non-200 status, with the head of its body for error messages.
     Status { status: u16, body_head: String },
-}
-
-/// Which results codec a 200 response was decoded with, per its
-/// `Content-Type` header.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ResponseCodec {
-    /// SPARQL 1.1 JSON — the universal fallback.
-    Json,
-    /// Lusail's binary codec, carrying a term dictionary this large.
-    Binary { dict_terms: usize },
 }
 
 /// Cap on how much of a non-200 error body (or post-document slack) is
@@ -536,55 +445,42 @@ fn send_and_read(
         .content_type
         .as_deref()
         .is_some_and(|ct| ct.starts_with(results_bin::MEDIA_TYPE));
-    let (outcome, drained) = if head.status == 200 && binary {
-        match results_bin::parse_stream(&mut body, max_result_rows) {
-            Ok(streamed) => {
-                let drained = !streamed.truncated && body.discard(ERROR_BODY_CAP).unwrap_or(false);
-                let codec = ResponseCodec::Binary {
-                    dict_terms: streamed.dict_terms,
-                };
-                (
-                    AttemptOutcome::Results(
-                        results_json::StreamedResult {
-                            result: streamed.result,
-                            warnings: streamed.warnings,
-                            truncated: streamed.truncated,
-                        },
-                        codec,
-                        head.truncated,
-                    ),
-                    drained,
-                )
+    let (outcome, drained) = if head.status != 200 {
+        let (bytes, complete) = body.read_capped(ERROR_BODY_CAP)?;
+        let body_head = body_head(&bytes);
+        let status = head.status;
+        (AttemptOutcome::Status { status, body_head }, complete)
+    } else {
+        let parsed = if binary {
+            match results_bin::parse_stream(&mut body, max_result_rows) {
+                Ok(s) => Ok((s.result, s.truncated, Some(s.dict_terms))),
+                Err(results_bin::BinStreamError::Io(e)) => return Err(e),
+                Err(results_bin::BinStreamError::Malformed(m)) => Err(m),
             }
-            Err(results_bin::BinStreamError::Io(e)) => return Err(e),
-            Err(results_bin::BinStreamError::Malformed(m)) => (AttemptOutcome::Malformed(m), false),
-        }
-    } else if head.status == 200 {
-        match results_json::parse_stream(&mut body, max_result_rows) {
-            Ok(streamed) => {
+        } else {
+            match results_json::parse_stream(&mut body, max_result_rows) {
+                Ok(s) => Ok((s.result, s.truncated, None)),
+                Err(results_json::StreamError::Io(e)) => return Err(e),
+                Err(results_json::StreamError::Malformed(e)) => Err(e.to_string()),
+            }
+        };
+        match parsed {
+            Ok((result, capped, dict_terms)) => {
                 // Reuse the connection only when the body actually ends
                 // where the document did (modulo a little slack). A drain
                 // error just forfeits pooling; the response already won.
-                let drained = !streamed.truncated && body.discard(ERROR_BODY_CAP).unwrap_or(false);
-                (
-                    AttemptOutcome::Results(streamed, ResponseCodec::Json, head.truncated),
-                    drained,
-                )
+                let drained = !capped && body.discard(ERROR_BODY_CAP).unwrap_or(false);
+                let server_truncated = head.truncated;
+                let outcome = AttemptOutcome::Results {
+                    result,
+                    capped,
+                    dict_terms,
+                    server_truncated,
+                };
+                (outcome, drained)
             }
-            Err(results_json::StreamError::Io(e)) => return Err(e),
-            Err(results_json::StreamError::Malformed(e)) => {
-                (AttemptOutcome::Malformed(e.to_string()), false)
-            }
+            Err(message) => (AttemptOutcome::Malformed(message), false),
         }
-    } else {
-        let (bytes, complete) = body.read_capped(ERROR_BODY_CAP)?;
-        (
-            AttemptOutcome::Status {
-                status: head.status,
-                body_head: body_head(&bytes),
-            },
-            complete,
-        )
     };
     Ok((outcome, reader.total, keep_alive && drained))
 }
@@ -942,6 +838,9 @@ pub fn percent_decode(s: &str, form: bool) -> Result<String, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::erh::{BreakerConfig, BreakerState};
+    use crate::resilient::RetryPolicy;
+    use crate::SparqlEndpoint;
     use std::io::{BufRead, BufReader};
     use std::net::TcpListener;
 
@@ -1028,11 +927,17 @@ mod tests {
         HttpConfig {
             connect_timeout: Duration::from_secs(2),
             request_timeout: Duration::from_secs(5),
-            retries: 2,
-            backoff: Duration::from_millis(1),
             use_get: false,
             max_result_rows: None,
             offer_binary: true,
+        }
+    }
+
+    /// A retry budget with a 1 ms backoff, to keep tests fast.
+    fn fast_retry(retries: u32) -> RetryPolicy {
+        RetryPolicy {
+            retries,
+            backoff: Duration::from_millis(1),
         }
     }
 
@@ -1056,7 +961,8 @@ mod tests {
         let (url, server) = canned_server(vec![with_header, ok_response(&body)]);
         let ep = HttpEndpoint::new("t", &url)
             .unwrap()
-            .with_config(test_config());
+            .with_config(test_config())
+            .with_retry(fast_retry(2));
         let q = lusail_sparql::parse_query("SELECT ?s WHERE { ?s ?p ?o }").unwrap();
         // The advertisement arrives as metadata, not an error: the rows
         // are delivered and the flag tells the integrity layer to page.
@@ -1078,7 +984,8 @@ mod tests {
         ]);
         let ep = HttpEndpoint::new("flaky", &url)
             .unwrap()
-            .with_config(test_config());
+            .with_config(test_config())
+            .with_retry(fast_retry(2));
         assert!(ep.ask(&ask_query()).unwrap());
         let t = ep.traffic();
         assert_eq!(t.requests, 2, "the 500 attempt must be counted too");
@@ -1098,7 +1005,8 @@ mod tests {
         ]);
         let ep = HttpEndpoint::new("down", &url)
             .unwrap()
-            .with_config(test_config());
+            .with_config(test_config())
+            .with_retry(fast_retry(2));
         let err = ep.execute(&ask_query()).unwrap_err();
         assert_eq!(err.endpoint, "down");
         assert!(err.message.contains("3 attempts"), "{err}");
@@ -1114,7 +1022,8 @@ mod tests {
         ]);
         let ep = HttpEndpoint::new("strict", &url)
             .unwrap()
-            .with_config(test_config());
+            .with_config(test_config())
+            .with_retry(fast_retry(2));
         let err = ep.execute(&ask_query()).unwrap_err();
         assert!(err.message.contains("400"), "{err}");
         assert!(err.message.contains("bad query"), "{err}");
@@ -1129,7 +1038,8 @@ mod tests {
         let (url, server) = canned_server(vec![truncated, ok_response(&boolean)]);
         let ep = HttpEndpoint::new("drops", &url)
             .unwrap()
-            .with_config(test_config());
+            .with_config(test_config())
+            .with_retry(fast_retry(2));
         assert!(!ep.ask(&ask_query()).unwrap());
         assert_eq!(ep.traffic().requests, 2);
         server.join().unwrap();
@@ -1140,7 +1050,8 @@ mod tests {
         let (url, server) = canned_server(vec![b"NOT HTTP AT ALL\r\n\r\n".to_vec(); 3]);
         let ep = HttpEndpoint::new("garbled", &url)
             .unwrap()
-            .with_config(test_config());
+            .with_config(test_config())
+            .with_retry(fast_retry(2));
         let err = ep.execute(&ask_query()).unwrap_err();
         assert!(err.message.contains("malformed status line"), "{err}");
         server.join().unwrap();
@@ -1161,7 +1072,8 @@ mod tests {
         let (url, server) = canned_server(vec![chunked.into_bytes()]);
         let ep = HttpEndpoint::new("chunky", &url)
             .unwrap()
-            .with_config(test_config());
+            .with_config(test_config())
+            .with_retry(fast_retry(2));
         assert!(ep.ask(&ask_query()).unwrap());
         server.join().unwrap();
     }
@@ -1206,10 +1118,10 @@ mod tests {
         let ep = HttpEndpoint::new("bomb", &format!("http://{addr}/sparql"))
             .unwrap()
             .with_config(HttpConfig {
-                retries: 0,
                 max_result_rows: Some(8),
                 ..test_config()
-            });
+            })
+            .with_retry(fast_retry(0));
         let q = lusail_sparql::parse_query("SELECT ?x WHERE { ?s ?p ?x }").unwrap();
         let err = ep.execute(&q).unwrap_err();
         assert!(err.message.contains("--max-result-rows (8)"), "{err}");
@@ -1275,7 +1187,8 @@ mod tests {
         });
         let ep = HttpEndpoint::new("pooled", &format!("http://{addr}/sparql"))
             .unwrap()
-            .with_config(test_config());
+            .with_config(test_config())
+            .with_retry(fast_retry(2));
         let q = lusail_sparql::parse_query("SELECT ?x WHERE { ?s ?p ?x }").unwrap();
         for _ in 0..2 {
             let rel = ep.select(&q).unwrap();
@@ -1294,10 +1207,8 @@ mod tests {
         };
         let ep = HttpEndpoint::new("nobody", &format!("http://127.0.0.1:{port}/sparql"))
             .unwrap()
-            .with_config(HttpConfig {
-                retries: 1,
-                ..test_config()
-            });
+            .with_config(test_config())
+            .with_retry(fast_retry(1));
         let err = ep.execute(&ask_query()).unwrap_err();
         assert!(err.message.contains("transport error"), "{err}");
         assert_eq!(err.kind, crate::FailureKind::Transport);
@@ -1313,6 +1224,7 @@ mod tests {
         let ep = HttpEndpoint::new("dead", &format!("http://127.0.0.1:{port}/sparql"))
             .unwrap()
             .with_config(test_config())
+            .with_retry(fast_retry(2))
             .with_breaker(BreakerConfig {
                 failure_threshold: 3,
                 cooldown: Duration::from_secs(30),
@@ -1349,6 +1261,7 @@ mod tests {
         let ep = HttpEndpoint::new("flappy", &url)
             .unwrap()
             .with_config(test_config())
+            .with_retry(fast_retry(2))
             .with_breaker(BreakerConfig {
                 failure_threshold: 2,
                 cooldown: Duration::from_millis(30),
@@ -1374,7 +1287,8 @@ mod tests {
         let (url, _server) = canned_server(vec![]);
         let ep = HttpEndpoint::new("late", &url)
             .unwrap()
-            .with_config(test_config());
+            .with_config(test_config())
+            .with_retry(fast_retry(2));
         let err = ep
             .execute_within(&ask_query(), Deadline::within(Duration::ZERO))
             .unwrap_err();
@@ -1397,9 +1311,9 @@ mod tests {
             .unwrap()
             .with_config(HttpConfig {
                 request_timeout: Duration::from_secs(30),
-                retries: 2,
                 ..test_config()
-            });
+            })
+            .with_retry(fast_retry(2));
         let started = Instant::now();
         let err = ep
             .execute_within(&ask_query(), Deadline::within(Duration::from_millis(60)))

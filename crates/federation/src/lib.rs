@@ -32,6 +32,8 @@
 //! so every engine runs unchanged over either transport. The shared wire
 //! format — SPARQL 1.1 JSON Results — lives in [`results_json`], with its
 //! hand-rolled JSON layer in [`json`].
+//! Each transport only makes one raw attempt ([`Transport`]); retries, the
+//! breaker and health bookkeeping live once, in [`Resilient`].
 
 pub mod cancel;
 pub mod endpoint;
@@ -43,23 +45,25 @@ pub mod integrity;
 pub mod json;
 pub mod network;
 pub mod replica;
+pub mod resilient;
 pub mod results_bin;
 pub mod results_json;
 
 pub use cancel::{CancelReason, CancelToken};
 pub use endpoint::{
     EndpointError, EndpointId, EndpointLimits, FailureKind, SelectResponse, SimulatedEndpoint,
-    SparqlEndpoint,
+    SimulatedTransport, SparqlEndpoint,
 };
 pub use erh::{
     Admission, BreakerConfig, BreakerState, CircuitBreaker, Deadline, EndpointHealth,
     HealthSnapshot, RequestHandler, TaskPanic,
 };
-pub use fault::{FaultProfile, FaultyConfig, FaultyEndpoint};
+pub use fault::{FaultProfile, FaultyConfig, FaultyEndpoint, FaultyTransport};
 pub use federation::Federation;
-pub use http::{HttpConfig, HttpEndpoint};
+pub use http::{HttpConfig, HttpEndpoint, HttpTransport};
 pub use integrity::{IntegrityConfig, IntegrityRegistry, IntegritySnapshot, QuarantineTransition};
 pub use network::{CodecCounters, CodecSnapshot, NetworkProfile, RequestCounters, TrafficSnapshot};
 pub use replica::{
     hedge_safe, rank_members, ReplicaConfig, ReplicaGroup, ReplicaGroupStats, ReplicaMemberSnapshot,
 };
+pub use resilient::{Resilient, RetryPolicy, Transport};

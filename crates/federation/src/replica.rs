@@ -494,6 +494,14 @@ impl SparqlEndpoint for ReplicaGroup {
         Some(merged)
     }
 
+    /// The group cannot tell which member served a suspect answer, so
+    /// quarantine applies to every member.
+    fn set_quarantined(&self, on: bool) {
+        for m in &self.members {
+            m.set_quarantined(on);
+        }
+    }
+
     fn replica_members(&self) -> Option<Vec<ReplicaMemberSnapshot>> {
         Some(
             self.members
@@ -519,10 +527,11 @@ impl SparqlEndpoint for ReplicaGroup {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::endpoint::SimulatedEndpoint;
+    use crate::endpoint::{SimulatedEndpoint, SimulatedTransport};
     use crate::erh::BreakerConfig;
     use crate::fault::{FaultProfile, FaultyConfig, FaultyEndpoint};
     use crate::network::NetworkProfile;
+    use crate::resilient::RetryPolicy;
     use lusail_rdf::{Graph, Term};
     use lusail_sparql::ast::{TermPattern, TriplePattern, Variable};
     use lusail_sparql::parse_query;
@@ -548,26 +557,27 @@ mod tests {
     }
 
     fn dead(name: &str) -> Arc<dyn SparqlEndpoint> {
-        let inner = Arc::new(SimulatedEndpoint::new(
-            name,
-            Store::from_graph(&graph()),
-            NetworkProfile::instant(),
-        )) as Arc<dyn SparqlEndpoint>;
-        Arc::new(FaultyEndpoint::with_config(
-            inner,
-            7,
-            FaultProfile::hard_down(),
-            FaultyConfig {
+        let inner =
+            SimulatedTransport::new(name, Store::from_graph(&graph()), NetworkProfile::instant());
+        Arc::new(
+            FaultyEndpoint::with_config(
+                inner,
+                7,
+                FaultProfile::hard_down(),
+                FaultyConfig {
+                    failure_latency: Duration::from_micros(100),
+                },
+            )
+            .with_retry(RetryPolicy {
                 retries: 0,
                 backoff: Duration::ZERO,
-                failure_latency: Duration::from_micros(100),
-                breaker: BreakerConfig {
-                    failure_threshold: 2,
-                    cooldown: Duration::from_secs(30),
-                    ewma_alpha: 0.2,
-                },
-            },
-        ))
+            })
+            .with_breaker(BreakerConfig {
+                failure_threshold: 2,
+                cooldown: Duration::from_secs(30),
+                ewma_alpha: 0.2,
+            }),
+        )
     }
 
     fn query() -> Query {
@@ -605,6 +615,25 @@ mod tests {
         assert_eq!(members[0].dispatches, 1, "preferred member serves");
         assert_eq!(members[1].dispatches, 0);
         assert_eq!(g.stats().failovers, 0);
+    }
+
+    #[test]
+    fn quarantine_reaches_every_member_and_shows_in_group_health() {
+        let g = ReplicaGroup::new(
+            "grp",
+            vec![
+                sim("m0", NetworkProfile::instant()),
+                sim("m1", NetworkProfile::instant()),
+            ],
+            ReplicaConfig::default(),
+        );
+        assert!(!g.health().unwrap().quarantined);
+        g.set_quarantined(true);
+        assert!(g.health().unwrap().quarantined);
+        let members = g.replica_members().unwrap();
+        assert!(members.iter().all(|m| m.health.unwrap().quarantined));
+        g.set_quarantined(false);
+        assert!(!g.health().unwrap().quarantined);
     }
 
     #[test]

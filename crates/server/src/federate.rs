@@ -201,14 +201,19 @@ impl Supervisor {
             let Some(deadline) = entry.deadline else {
                 continue;
             };
-            if now >= deadline + grace && entry.token.cancel(CancelReason::WatchdogReaped) {
-                reaped += 1;
+            if now < deadline + grace || entry.token.is_cancelled() {
+                continue;
             }
-        }
-        if reaped > 0 {
-            self.lifecycle
-                .watchdog_reaps
-                .fetch_add(reaped, Ordering::Relaxed);
+            // Count the reap before tripping the token, so whoever the
+            // token wakes already sees it in the stats.
+            let reaps = &self.lifecycle.watchdog_reaps;
+            reaps.fetch_add(1, Ordering::Relaxed);
+            if entry.token.cancel(CancelReason::WatchdogReaped) {
+                reaped += 1;
+            } else {
+                // Cancelled by someone else in between: not a reap.
+                reaps.fetch_sub(1, Ordering::Relaxed);
+            }
         }
         reaped
     }
@@ -714,6 +719,7 @@ mod tests {
     use lusail_core::LusailConfig;
     use lusail_federation::{
         FaultProfile, FaultyEndpoint, Federation, NetworkProfile, SimulatedEndpoint,
+        SimulatedTransport,
     };
     use lusail_rdf::{Graph, Term};
     use lusail_store::Store;
@@ -750,11 +756,11 @@ mod tests {
         config: FederateConfig,
         profile: FaultProfile,
     ) -> (FederationService, Arc<FaultyEndpoint>) {
-        let inner = Arc::new(SimulatedEndpoint::new(
+        let inner = SimulatedTransport::new(
             "ep0",
             Store::from_graph(&fixture_graph()),
             NetworkProfile::instant(),
-        ));
+        );
         let ep = Arc::new(FaultyEndpoint::new(inner, 42, profile));
         let fed = Federation::new(vec![Arc::clone(&ep) as _]);
         let svc = FederationService::new(LusailEngine::new(fed, LusailConfig::default()), config);

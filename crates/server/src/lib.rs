@@ -1365,7 +1365,7 @@ impl RequestReader<'_> {
 mod tests {
     use super::*;
     use lusail_federation::http::percent_encode;
-    use lusail_federation::{HttpConfig, HttpEndpoint, SparqlEndpoint};
+    use lusail_federation::{HttpConfig, HttpEndpoint, RetryPolicy, SparqlEndpoint};
     use lusail_rdf::{Graph, Term};
     use std::io::{BufRead, BufReader};
 
@@ -1888,7 +1888,7 @@ mod tests {
         // After shutdown nothing serves the port: the client must fail.
         let ep = HttpEndpoint::new("srv", &url)
             .unwrap()
-            .with_config(HttpConfig {
+            .with_retry(RetryPolicy {
                 retries: 0,
                 ..Default::default()
             });

@@ -7,6 +7,10 @@ cd "$(dirname "$0")/.."
 
 cargo build --workspace --release --offline
 cargo test --workspace -q --offline
+# The benchmark package (its own workspace under benchmark/) implements
+# SparqlEndpoint and builds endpoints through the public API, so a
+# federation API change can break it: build and test it here too.
+cargo test --manifest-path benchmark/Cargo.toml --offline -q
 cargo fmt --all --check
 
 # Chaos group: fault-injection e2e (tests/tests/chaos.rs). The fault

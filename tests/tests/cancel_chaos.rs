@@ -20,7 +20,7 @@
 use lusail_core::{LusailConfig, LusailEngine};
 use lusail_federation::{
     FaultProfile, FaultyConfig, FaultyEndpoint, Federation, NetworkProfile, SimulatedEndpoint,
-    SparqlEndpoint,
+    SimulatedTransport, SparqlEndpoint,
 };
 use lusail_rdf::{Graph, Term};
 use lusail_server::federate::{FederateConfig, FederationService};
@@ -215,11 +215,11 @@ fn watchdog_reaps_a_hang_wedged_query_and_returns_its_memory() {
     println!("LUSAIL_CHAOS_SEED={seed}");
     let (name, g) = &shards()[0];
     let wedged = Arc::new(FaultyEndpoint::with_config(
-        Arc::new(SimulatedEndpoint::new(
+        SimulatedTransport::new(
             name.clone(),
             Store::from_graph(g),
             NetworkProfile::instant(),
-        )),
+        ),
         seed,
         FaultProfile::hang(),
         FaultyConfig::default(),
@@ -267,11 +267,11 @@ fn admin_cancel_returns_a_structured_error_to_the_caller() {
     println!("LUSAIL_CHAOS_SEED={seed}");
     let (name, g) = &shards()[0];
     let wedged = Arc::new(FaultyEndpoint::with_config(
-        Arc::new(SimulatedEndpoint::new(
+        SimulatedTransport::new(
             name.clone(),
             Store::from_graph(g),
             NetworkProfile::instant(),
-        )),
+        ),
         seed,
         FaultProfile::hang(),
         FaultyConfig::default(),
@@ -347,11 +347,11 @@ fn engine_panic_is_contained_to_one_connection() {
     println!("LUSAIL_CHAOS_SEED={seed}");
     let (name, g) = &shards()[0];
     let faulty = Arc::new(FaultyEndpoint::with_config(
-        Arc::new(SimulatedEndpoint::new(
+        SimulatedTransport::new(
             name.clone(),
             Store::from_graph(g),
             NetworkProfile::instant(),
-        )),
+        ),
         seed,
         FaultProfile::panics_on_select(),
         FaultyConfig::default(),

@@ -11,7 +11,7 @@
 use lusail_core::{EngineError, LusailConfig, LusailEngine, ResultPolicy};
 use lusail_federation::{
     BreakerConfig, BreakerState, Deadline, FaultProfile, FaultyConfig, FaultyEndpoint, Federation,
-    NetworkProfile, SimulatedEndpoint, SparqlEndpoint,
+    NetworkProfile, RetryPolicy, SimulatedEndpoint, SimulatedTransport, SparqlEndpoint,
 };
 use lusail_rdf::{Graph, Term};
 use lusail_sparql::parse_query;
@@ -61,7 +61,7 @@ struct ChaosRig {
 
 /// Three endpoints on the given network; `ep-2` is wrapped in a
 /// fault injector starting with `profile` active.
-fn rig(network: NetworkProfile, profile: FaultProfile, config: FaultyConfig) -> ChaosRig {
+fn rig(network: NetworkProfile, profile: FaultProfile, tuning: Tuning) -> ChaosRig {
     let mut endpoints: Vec<Arc<dyn SparqlEndpoint>> = (0..2)
         .map(|idx| {
             Arc::new(SimulatedEndpoint::new(
@@ -71,17 +71,19 @@ fn rig(network: NetworkProfile, profile: FaultProfile, config: FaultyConfig) -> 
             )) as Arc<dyn SparqlEndpoint>
         })
         .collect();
-    let inner = Arc::new(SimulatedEndpoint::new(
-        FAULTY_NAME,
-        Store::from_graph(&shard(2)),
-        network,
-    )) as Arc<dyn SparqlEndpoint>;
-    let faulty = Arc::new(FaultyEndpoint::with_config(
-        inner,
-        chaos_seed(),
-        profile,
-        config,
-    ));
+    let inner = SimulatedTransport::new(FAULTY_NAME, Store::from_graph(&shard(2)), network);
+    let faulty = Arc::new(
+        FaultyEndpoint::with_config(
+            inner,
+            chaos_seed(),
+            profile,
+            FaultyConfig {
+                failure_latency: Duration::from_micros(200),
+            },
+        )
+        .with_retry(tuning.retry)
+        .with_breaker(tuning.breaker),
+    );
     endpoints.push(faulty.clone() as Arc<dyn SparqlEndpoint>);
     ChaosRig {
         federation: Federation::new(endpoints),
@@ -89,12 +91,20 @@ fn rig(network: NetworkProfile, profile: FaultProfile, config: FaultyConfig) -> 
     }
 }
 
+/// The faulty endpoint's retry policy and breaker.
+#[derive(Clone, Copy)]
+struct Tuning {
+    retry: RetryPolicy,
+    breaker: BreakerConfig,
+}
+
 /// Breaker tuned for test pace: opens after two strikes, re-probes fast.
-fn snappy_faults() -> FaultyConfig {
-    FaultyConfig {
-        retries: 1,
-        backoff: Duration::from_micros(100),
-        failure_latency: Duration::from_micros(200),
+fn snappy_faults() -> Tuning {
+    Tuning {
+        retry: RetryPolicy {
+            retries: 1,
+            backoff: Duration::from_micros(100),
+        },
         breaker: BreakerConfig {
             failure_threshold: 2,
             cooldown: Duration::from_millis(50),
@@ -186,7 +196,7 @@ fn partial_returns_reachable_subset_with_warnings_naming_dead_endpoint() {
         "every warning should name {FAULTY_NAME}: {:?}",
         profile.warnings
     );
-    let health = rig.faulty.health_snapshot();
+    let health = rig.faulty.health().unwrap();
     assert_eq!(health.breaker, BreakerState::Open);
     assert!(
         health.failures >= 2,
@@ -208,7 +218,7 @@ fn breaker_recloses_and_full_results_return_after_faults_clear() {
         .execute_profiled(&q)
         .unwrap();
     assert_eq!(rel.len(), 2 * ROWS_PER_SHARD, "seed {}", chaos_seed());
-    assert_eq!(rig.faulty.health_snapshot().breaker, BreakerState::Open);
+    assert_eq!(rig.faulty.health().unwrap().breaker, BreakerState::Open);
 
     // The endpoint comes back; after the cooldown the next request is
     // admitted as the half-open probe and its success closes the breaker.
@@ -217,7 +227,7 @@ fn breaker_recloses_and_full_results_return_after_faults_clear() {
     rig.faulty
         .execute_within(&q, Deadline::none())
         .expect("recovered endpoint should serve the half-open probe");
-    assert_eq!(rig.faulty.health_snapshot().breaker, BreakerState::Closed);
+    assert_eq!(rig.faulty.health().unwrap().breaker, BreakerState::Closed);
 
     // Strict fail-fast now succeeds with all three shards again.
     let rel = engine(&rig, ResultPolicy::FailFast).execute(&q).unwrap();
@@ -230,10 +240,11 @@ fn retry_budget_rides_out_intermittent_drops() {
     // four retries make an all-attempts failure vanishingly rare, so even
     // fail-fast completes. The breaker threshold is lifted out of the way
     // so a short unlucky streak cannot open it mid-query.
-    let flaky = FaultyConfig {
-        retries: 4,
-        backoff: Duration::from_micros(100),
-        failure_latency: Duration::from_micros(200),
+    let flaky = Tuning {
+        retry: RetryPolicy {
+            retries: 4,
+            backoff: Duration::from_micros(100),
+        },
         breaker: BreakerConfig {
             failure_threshold: 64,
             ..BreakerConfig::default()
@@ -258,7 +269,7 @@ fn retry_budget_rides_out_intermittent_drops() {
         });
     assert_eq!(rel.len(), 3 * ROWS_PER_SHARD, "seed {}", chaos_seed());
     assert!(
-        rig.faulty.health_snapshot().retries > 0,
+        rig.faulty.health().unwrap().retries > 0,
         "a 25% drop rate should have forced at least one retry (seed {})",
         chaos_seed()
     );

@@ -12,7 +12,7 @@ use integration::{assert_same_solutions, ground_truth};
 use lusail_core::{LusailConfig, LusailEngine, ResultPolicy};
 use lusail_federation::{
     results_json, FaultProfile, FaultyConfig, FaultyEndpoint, Federation, HttpConfig, HttpEndpoint,
-    SparqlEndpoint,
+    HttpTransport, RetryPolicy, SparqlEndpoint,
 };
 use lusail_rdf::Graph;
 use lusail_server::{ServerConfig, ServerHandle, SparqlServer};
@@ -200,30 +200,38 @@ fn partial_mode_is_codec_identical_with_chaos_endpoint() {
             .zip(&handles)
             .enumerate()
             .map(|(i, ((name, _), h))| {
-                let http = Arc::new(
-                    HttpEndpoint::new(name.clone(), &h.url())
-                        .expect("valid loopback URL")
-                        .with_config(HttpConfig {
-                            offer_binary: offer,
-                            retries: 1,
-                            ..HttpConfig::default()
-                        }),
-                ) as Arc<dyn SparqlEndpoint>;
                 if i == graphs.len() - 1 {
-                    // The last endpoint is dead for the whole test.
-                    Arc::new(FaultyEndpoint::with_config(
-                        http,
-                        chaos_seed(),
-                        FaultProfile::hard_down(),
-                        FaultyConfig {
+                    // The last endpoint is dead for the whole test: its
+                    // transport is never dialled, so it needs no config.
+                    let http =
+                        HttpTransport::new(name.clone(), &h.url()).expect("valid loopback URL");
+                    Arc::new(
+                        FaultyEndpoint::with_config(
+                            http,
+                            chaos_seed(),
+                            FaultProfile::hard_down(),
+                            FaultyConfig {
+                                failure_latency: Duration::from_micros(200),
+                            },
+                        )
+                        .with_retry(RetryPolicy {
                             retries: 1,
                             backoff: Duration::from_micros(100),
-                            failure_latency: Duration::from_micros(200),
-                            ..FaultyConfig::default()
-                        },
-                    )) as Arc<dyn SparqlEndpoint>
+                        }),
+                    ) as Arc<dyn SparqlEndpoint>
                 } else {
-                    http
+                    Arc::new(
+                        HttpEndpoint::new(name.clone(), &h.url())
+                            .expect("valid loopback URL")
+                            .with_config(HttpConfig {
+                                offer_binary: offer,
+                                ..HttpConfig::default()
+                            })
+                            .with_retry(RetryPolicy {
+                                retries: 1,
+                                ..RetryPolicy::default()
+                            }),
+                    )
                 }
             })
             .collect();

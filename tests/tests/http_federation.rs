@@ -6,7 +6,7 @@
 
 use integration::{assert_same_solutions, ground_truth};
 use lusail_core::LusailEngine;
-use lusail_federation::{Federation, HttpConfig, HttpEndpoint, NetworkProfile, SparqlEndpoint};
+use lusail_federation::{Federation, HttpEndpoint, NetworkProfile, RetryPolicy, SparqlEndpoint};
 use lusail_rdf::{Graph, Literal, Term};
 use lusail_server::{ServerConfig, ServerHandle, SparqlServer};
 use lusail_store::Store;
@@ -190,10 +190,9 @@ fn dead_endpoint_fails_fast_with_transport_error() {
     };
     let ep = HttpEndpoint::new("ghost", &format!("http://127.0.0.1:{port}/sparql"))
         .unwrap()
-        .with_config(HttpConfig {
+        .with_retry(RetryPolicy {
             retries: 1,
             backoff: std::time::Duration::from_millis(1),
-            ..Default::default()
         });
     let q = lusail_sparql::parse_query("ASK { ?s ?p ?o }").unwrap();
     let err = ep.execute(&q).unwrap_err();

@@ -25,7 +25,7 @@ use lusail_core::sape::recover;
 use lusail_core::{EngineError, IntegrityConfig, LusailConfig, LusailEngine, ResultPolicy};
 use lusail_federation::{
     results_json, Deadline, FailureKind, FaultProfile, FaultyConfig, FaultyEndpoint, Federation,
-    NetworkProfile, SimulatedEndpoint, SparqlEndpoint,
+    NetworkProfile, SimulatedEndpoint, SimulatedTransport, SparqlEndpoint,
 };
 use lusail_rdf::{Graph, Term};
 use lusail_sparql::parse_query;
@@ -68,11 +68,11 @@ fn lying_federation(graphs: &[(String, Graph)], profile: FaultProfile) -> Federa
     let endpoints: Vec<Arc<dyn SparqlEndpoint>> = graphs
         .iter()
         .map(|(name, g)| {
-            let inner = Arc::new(SimulatedEndpoint::new(
+            let inner = SimulatedTransport::new(
                 name.clone(),
                 Store::from_graph(g),
                 NetworkProfile::instant(),
-            )) as Arc<dyn SparqlEndpoint>;
+            );
             Arc::new(FaultyEndpoint::with_config(
                 inner,
                 chaos_seed(),
@@ -206,11 +206,11 @@ fn rig(profile: FaultProfile) -> Rig {
             )) as Arc<dyn SparqlEndpoint>
         })
         .collect();
-    let inner = Arc::new(SimulatedEndpoint::new(
+    let inner = SimulatedTransport::new(
         FAULTY_NAME,
         Store::from_graph(&shard(2)),
         NetworkProfile::instant(),
-    )) as Arc<dyn SparqlEndpoint>;
+    );
     let faulty = Arc::new(FaultyEndpoint::with_config(
         inner,
         chaos_seed(),
@@ -258,7 +258,7 @@ fn miscounting_endpoint_is_quarantined_under_partial_with_structured_warning() {
         chaos_seed()
     );
     assert!(
-        rig.faulty.health_snapshot().quarantined,
+        rig.faulty.health().unwrap().quarantined,
         "quarantine must be mirrored into the endpoint's health registry"
     );
     let snap = engine.integrity().snapshot();
@@ -331,11 +331,7 @@ fn wide_graph(n: usize) -> Graph {
 }
 
 fn single_endpoint_rig(rows: usize, profile: FaultProfile, network: NetworkProfile) -> Federation {
-    let inner = Arc::new(SimulatedEndpoint::new(
-        "trunky",
-        Store::from_graph(&wide_graph(rows)),
-        network,
-    )) as Arc<dyn SparqlEndpoint>;
+    let inner = SimulatedTransport::new("trunky", Store::from_graph(&wide_graph(rows)), network);
     Federation::new(vec![Arc::new(FaultyEndpoint::with_config(
         inner,
         chaos_seed(),

@@ -13,7 +13,7 @@ use lusail_core::sape::join::budgeted_join;
 use lusail_core::{EngineError, LusailConfig, LusailEngine, MemoryBudget, ResultPolicy};
 use lusail_federation::{
     FaultProfile, FaultyConfig, FaultyEndpoint, Federation, NetworkProfile, RequestHandler,
-    SimulatedEndpoint, SparqlEndpoint,
+    SimulatedEndpoint, SimulatedTransport, SparqlEndpoint,
 };
 use lusail_rdf::{Graph, Term};
 use lusail_sparql::ast::Variable;
@@ -72,11 +72,7 @@ fn rig(profile: FaultProfile) -> Federation {
             )) as Arc<dyn SparqlEndpoint>
         })
         .collect();
-    let inner = Arc::new(SimulatedEndpoint::new(
-        FAULTY_NAME,
-        Store::from_graph(&shard(2)),
-        network,
-    )) as Arc<dyn SparqlEndpoint>;
+    let inner = SimulatedTransport::new(FAULTY_NAME, Store::from_graph(&shard(2)), network);
     endpoints.push(Arc::new(FaultyEndpoint::with_config(
         inner,
         chaos_seed(),

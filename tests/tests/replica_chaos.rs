@@ -16,7 +16,8 @@ use integration::{assert_same_solutions, ground_truth};
 use lusail_core::{EngineError, LusailConfig, LusailEngine, ResultPolicy};
 use lusail_federation::{
     BreakerConfig, FaultProfile, FaultyConfig, FaultyEndpoint, Federation, NetworkProfile,
-    ReplicaConfig, ReplicaGroup, SimulatedEndpoint, SparqlEndpoint,
+    ReplicaConfig, ReplicaGroup, RetryPolicy, SimulatedEndpoint, SimulatedTransport,
+    SparqlEndpoint,
 };
 use lusail_sparql::parse_query;
 use lusail_store::Store;
@@ -31,42 +32,41 @@ fn chaos_seed() -> u64 {
         .unwrap_or(42)
 }
 
-/// Replica-member fault handling tuned for failing over fast: no in-member
-/// retries (the group's failover IS the retry), sub-millisecond failure
-/// latency, and a breaker that opens after two strikes so later waves stop
-/// dialing the dead member at all.
-fn fast_failover_faults() -> FaultyConfig {
-    FaultyConfig {
-        retries: 0,
-        backoff: Duration::ZERO,
-        failure_latency: Duration::from_micros(200),
-        breaker: BreakerConfig {
-            failure_threshold: 2,
-            cooldown: Duration::from_secs(30),
-            ..BreakerConfig::default()
-        },
-    }
-}
-
 /// A plain healthy member endpoint.
 fn member(name: String, store: Store, network: NetworkProfile) -> Arc<dyn SparqlEndpoint> {
     Arc::new(SimulatedEndpoint::new(name, store, network))
 }
 
-/// A member wrapped in a fault injector starting with `profile` active.
+/// A member wrapped in a fault injector starting with `profile` active,
+/// tuned for failing over fast: no in-member retries (the group's failover
+/// IS the retry), sub-millisecond failure latency, and a breaker that opens
+/// after two strikes so later waves stop dialing the dead member at all.
 fn faulty_member(
     name: String,
     store: Store,
     network: NetworkProfile,
     profile: FaultProfile,
 ) -> Arc<dyn SparqlEndpoint> {
-    let inner = member(name, store, network);
-    Arc::new(FaultyEndpoint::with_config(
-        inner,
-        chaos_seed(),
-        profile,
-        fast_failover_faults(),
-    ))
+    let inner = SimulatedTransport::new(name, store, network);
+    Arc::new(
+        FaultyEndpoint::with_config(
+            inner,
+            chaos_seed(),
+            profile,
+            FaultyConfig {
+                failure_latency: Duration::from_micros(200),
+            },
+        )
+        .with_retry(RetryPolicy {
+            retries: 0,
+            backoff: Duration::ZERO,
+        })
+        .with_breaker(BreakerConfig {
+            failure_threshold: 2,
+            cooldown: Duration::from_secs(30),
+            ..BreakerConfig::default()
+        }),
+    )
 }
 
 struct ReplicaRig {
