@@ -16,17 +16,20 @@
 //! eviction and a TTL so stale endpoint facts (an endpoint re-loaded its
 //! data, a COUNT drifted) age out instead of poisoning every future query.
 //! The service adds a [`ResultCache`] on top — whole-query text → final
-//! solutions — so a repeated hot query costs zero outbound endpoint
-//! requests. Degraded (partial) results are never written to either tier:
-//! they describe an outage, not the data.
+//! solutions, each held once as a compact LSRB buffer — so a repeated hot
+//! query costs zero outbound endpoint requests. Degraded (partial) results
+//! are never written to either tier: they describe an outage, not the
+//! data.
 
+use lusail_federation::results_bin;
 use lusail_federation::EndpointId;
 use lusail_rdf::fxhash::FxHashMap;
 use lusail_sparql::ast::{TermPattern, TriplePattern};
 use lusail_sparql::Relation;
+use lusail_store::eval::QueryResult;
 use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, RwLock};
+use std::sync::{Arc, Mutex, RwLock};
 use std::time::{Duration, Instant};
 
 /// Canonical cache key for a triple pattern: variables renamed by position.
@@ -274,7 +277,11 @@ pub struct ResultCacheStats {
 
 #[derive(Debug, Default)]
 struct ResultInner {
-    map: FxHashMap<String, Stamped<Relation>>,
+    /// Each result is one shared LSRB encoding ([`results_bin`]): a
+    /// dictionary of distinct terms plus `u32` ids, so a hot entry costs
+    /// a fraction of its `Relation` and a hit clones a pointer under the
+    /// lock instead of every term string.
+    map: FxHashMap<String, Stamped<Arc<[u8]>>>,
     clock: u64,
     stats: ResultCacheStats,
 }
@@ -308,38 +315,46 @@ impl ResultCache {
         self.inner.lock().unwrap_or_else(|p| p.into_inner())
     }
 
-    /// The cached solutions for `key`, if present and fresh.
+    /// The cached solutions for `key`, if present and fresh. Decoded
+    /// outside the lock.
     pub fn get(&self, key: &str) -> Option<Relation> {
-        let mut inner = self.lock();
-        let expired = match inner.map.get(key) {
-            None => {
+        let encoded = {
+            let mut inner = self.lock();
+            let expired = match inner.map.get(key) {
+                None => {
+                    inner.stats.misses += 1;
+                    return None;
+                }
+                Some(e) => self
+                    .limits
+                    .ttl
+                    .is_some_and(|ttl| e.inserted.elapsed() > ttl),
+            };
+            if expired {
+                inner.map.remove(key);
+                inner.stats.expirations += 1;
                 inner.stats.misses += 1;
                 return None;
             }
-            Some(e) => self
-                .limits
-                .ttl
-                .is_some_and(|ttl| e.inserted.elapsed() > ttl),
+            inner.clock += 1;
+            let stamp = inner.clock;
+            let entry = inner.map.get_mut(key).expect("checked above");
+            entry.stamp = stamp; // LRU: a hit refreshes recency
+            let value = Arc::clone(&entry.value);
+            inner.stats.hits += 1;
+            value
         };
-        if expired {
-            inner.map.remove(key);
-            inner.stats.expirations += 1;
-            inner.stats.misses += 1;
-            return None;
+        match results_bin::parse(&encoded).ok()?.result {
+            QueryResult::Solutions(rel) => Some(rel),
+            QueryResult::Boolean(_) => None,
         }
-        inner.clock += 1;
-        let stamp = inner.clock;
-        let entry = inner.map.get_mut(key).expect("checked above");
-        entry.stamp = stamp; // LRU: a hit refreshes recency
-        let value = entry.value.clone();
-        inner.stats.hits += 1;
-        Some(value)
     }
 
     /// Cache `rel` under `key`, evicting the least-recently-used entry
     /// beyond capacity. The caller is responsible for never passing a
     /// degraded (partial / truncated) result.
-    pub fn put(&self, key: String, rel: Relation) {
+    pub fn put(&self, key: String, rel: &Relation) {
+        let encoded: Arc<[u8]> = results_bin::solutions_bin(rel, &[]).into();
         let mut inner = self.lock();
         if let Some(cap) = self.limits.capacity {
             if !inner.map.contains_key(&key) && inner.map.len() >= cap.max(1) {
@@ -359,7 +374,7 @@ impl ResultCache {
         inner.map.insert(
             key,
             Stamped {
-                value: rel,
+                value: encoded,
                 stamp,
                 inserted: Instant::now(),
             },
@@ -501,7 +516,7 @@ mod tests {
             ttl: Some(Duration::from_secs(300)),
         });
         assert!(c.get("q1").is_none());
-        c.put("q1".into(), rel(3));
+        c.put("q1".into(), &rel(3));
         assert_eq!(c.get("q1").unwrap().len(), 3);
         let s = c.stats();
         assert_eq!((s.hits, s.misses, s.entries), (1, 1, 1));
@@ -517,10 +532,32 @@ mod tests {
             capacity: None,
             ttl: Some(Duration::ZERO),
         });
-        stale.put("q".into(), rel(1));
+        stale.put("q".into(), &rel(1));
         std::thread::sleep(Duration::from_millis(2));
         assert!(stale.get("q").is_none());
         assert_eq!(stale.stats().expirations, 1);
+    }
+
+    #[test]
+    fn result_cache_hit_equals_the_relation_put() {
+        let c = ResultCache::new(CacheLimits::default());
+        let mut r = Relation::new(vec![Variable::new("a"), Variable::new("b")]);
+        r.push(vec![Some(Term::iri("http://x/1")), None]);
+        r.push(vec![
+            Some(Term::bnode("b0")),
+            Some(Term::Literal(lusail_rdf::Literal::lang("chat", "fr"))),
+        ]);
+        r.push(vec![
+            Some(Term::Literal(lusail_rdf::Literal::typed(
+                "7",
+                "http://www.w3.org/2001/XMLSchema#integer",
+            ))),
+            Some(Term::iri("http://x/1")),
+        ]);
+        r.push(vec![None, None]);
+        c.put("k".into(), &r);
+        assert_eq!(c.get("k"), Some(r.clone()));
+        assert_eq!(c.get("k"), Some(r), "a second hit decodes the same");
     }
 
     #[test]
@@ -529,11 +566,11 @@ mod tests {
             capacity: Some(2),
             ttl: None,
         });
-        c.put("a".into(), rel(1));
-        c.put("b".into(), rel(2));
+        c.put("a".into(), &rel(1));
+        c.put("b".into(), &rel(2));
         // Touch "a" so "b" becomes the LRU entry.
         assert!(c.get("a").is_some());
-        c.put("c".into(), rel(3));
+        c.put("c".into(), &rel(3));
         assert!(c.get("b").is_none(), "LRU entry must be evicted");
         assert!(c.get("a").is_some());
         assert!(c.get("c").is_some());

@@ -1,6 +1,6 @@
 //! Global join variable detection — Algorithm 1 of the paper.
 
-use crate::cache::{pattern_key, QueryCache};
+use crate::cache::QueryCache;
 use crate::error::EngineError;
 use crate::run::RunContext;
 use lusail_federation::{EndpointError, EndpointId, Federation, RequestHandler};
@@ -167,7 +167,7 @@ pub fn detect_gjvs_with(
             .map(|(_, idx)| &patterns[*idx]);
         for (i, j) in checks {
             let query = check_query(&var, &patterns[i], &patterns[j], type_tp);
-            let key = check_key(&var, &patterns[i], &patterns[j]);
+            let key = check_key(&var, &patterns[i], &patterns[j], type_tp);
             for &ep in &sources[i] {
                 pending.push(PendingCheck {
                     var: var.clone(),
@@ -333,14 +333,43 @@ fn rename_other_vars(tp: &TriplePattern, keep: &Variable) -> TriplePattern {
     )
 }
 
-/// Cache key for one check (direction-sensitive).
-fn check_key(v: &Variable, tp_from: &TriplePattern, tp_to: &TriplePattern) -> String {
-    format!(
-        "{}|{}|{}",
-        v.name(),
-        pattern_key(tp_from),
-        pattern_key(tp_to)
-    )
+/// Cache key for one check: the check query's own shape with every
+/// variable renamed canonically — the checked variable first, then the
+/// others in order of appearance across `type_tp`, `tp_from` and the
+/// (already freshly renamed) inner `tp_to`. Two checks share a key
+/// exactly when their check queries are alpha-equivalent, so the key is
+/// direction- and position-sensitive and tells typed from untyped checks.
+fn check_key(
+    v: &Variable,
+    tp_from: &TriplePattern,
+    tp_to: &TriplePattern,
+    type_tp: Option<&TriplePattern>,
+) -> String {
+    let mut names: Vec<String> = vec![v.name().to_string()];
+    let mut canon = |tp: &TriplePattern| -> String {
+        [&tp.subject, &tp.predicate, &tp.object]
+            .map(|slot| match slot {
+                TermPattern::Var(x) => {
+                    let n = match names.iter().position(|n| n == x.name()) {
+                        Some(n) => n,
+                        None => {
+                            names.push(x.name().to_string());
+                            names.len() - 1
+                        }
+                    };
+                    format!("?v{n}")
+                }
+                TermPattern::Term(t) => t.to_string(),
+            })
+            .join(" ")
+    };
+    let typed = match type_tp {
+        Some(t) => canon(t),
+        None => "-".to_string(),
+    };
+    let from = canon(tp_from);
+    let to = canon(&rename_other_vars(tp_to, v));
+    format!("{typed} | {from} | {to}")
 }
 
 #[cfg(test)]
@@ -406,6 +435,58 @@ mod tests {
         let a = tp("?x", "http://p", "?v");
         let b = tp("?v", "http://q", "?y");
         let v = Variable::new("v");
-        assert_ne!(check_key(&v, &a, &b), check_key(&v, &b, &a));
+        assert_ne!(check_key(&v, &a, &b, None), check_key(&v, &b, &a, None));
+    }
+
+    #[test]
+    fn check_key_distinguishes_variable_positions() {
+        // `?x p ?y` and `?y p ?x` check different things about ?x.
+        let x = Variable::new("x");
+        let to = tp("?x", "http://q", "?z");
+        assert_ne!(
+            check_key(&x, &tp("?x", "http://p", "?y"), &to, None),
+            check_key(&x, &tp("?y", "http://p", "?x"), &to, None)
+        );
+        assert_ne!(
+            check_key(&x, &to, &tp("?x", "http://p", "?y"), None),
+            check_key(&x, &to, &tp("?y", "http://p", "?x"), None)
+        );
+    }
+
+    #[test]
+    fn check_key_distinguishes_typed_from_untyped() {
+        let x = Variable::new("x");
+        let from = tp("?x", "http://p", "?y");
+        let to = tp("?x", "http://q", "?z");
+        let ty = tp("?x", vocab::rdf::TYPE, "http://T");
+        let other_ty = tp("?x", vocab::rdf::TYPE, "http://U");
+        assert_ne!(
+            check_key(&x, &from, &to, None),
+            check_key(&x, &from, &to, Some(&ty))
+        );
+        assert_ne!(
+            check_key(&x, &from, &to, Some(&ty)),
+            check_key(&x, &from, &to, Some(&other_ty))
+        );
+    }
+
+    #[test]
+    fn check_key_is_equal_under_alpha_renaming() {
+        let key = |v: &str, a: &str, b: &str, c: &str| {
+            check_key(
+                &Variable::new(v),
+                &tp(&format!("?{a}"), "http://p", &format!("?{v}")),
+                &tp(&format!("?{v}"), "http://q", &format!("?{b}")),
+                Some(&tp(&format!("?{v}"), vocab::rdf::TYPE, c)),
+            )
+        };
+        assert_eq!(
+            key("p", "s", "c", "http://T"),
+            key("x", "y", "z", "http://T")
+        );
+        assert_ne!(
+            key("p", "s", "c", "http://T"),
+            key("x", "y", "z", "http://U")
+        );
     }
 }

@@ -176,16 +176,19 @@ pub fn serialize(result: &QueryResult) -> Vec<u8> {
 pub fn serialize_with_warnings(result: &QueryResult, warnings: &[String]) -> Vec<u8> {
     match result {
         QueryResult::Boolean(b) => boolean_bin(*b),
-        QueryResult::Solutions(rel) => {
-            let mut enc = Encoder::new();
-            let mut out = enc.head(rel.vars(), warnings);
-            for row in rel.rows() {
-                out.extend_from_slice(&enc.row(row));
-            }
-            out.extend_from_slice(&enc.tail());
-            out
-        }
+        QueryResult::Solutions(rel) => solutions_bin(rel, warnings),
     }
+}
+
+/// A complete solutions document for `rel`, warnings in the head.
+pub fn solutions_bin(rel: &Relation, warnings: &[String]) -> Vec<u8> {
+    let mut enc = Encoder::new();
+    let mut out = enc.head(rel.vars(), warnings);
+    for row in rel.rows() {
+        out.extend_from_slice(&enc.row(row));
+    }
+    out.extend_from_slice(&enc.tail());
+    out
 }
 
 /// The outcome of a streaming binary parse. Mirrors

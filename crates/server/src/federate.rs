@@ -448,7 +448,7 @@ impl FederationService {
                 // Only clean runs are cached: a degraded answer pinned in
                 // the cache would keep serving the outage after recovery.
                 if warnings.is_empty() && cancel.reason().is_none() {
-                    self.results.put(key, rel.clone());
+                    self.results.put(key, &rel);
                 }
                 finish(rel, warnings)
             }

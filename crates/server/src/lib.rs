@@ -523,17 +523,8 @@ fn write_overloaded(stream: &TcpStream, config: &ServerConfig, stats: &ServerSta
         ),
         &config.name,
     );
-    let retry_after = config.retry_after.as_secs().max(1);
-    let _ = (&mut &*stream).write_all(
-        format!(
-            "HTTP/1.1 503 Service Unavailable\r\nContent-Type: application/json\r\n\
-             Retry-After: {}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{}",
-            retry_after,
-            body.len(),
-            body
-        )
-        .as_bytes(),
-    );
+    let retry = format!("Retry-After: {}\r\n", config.retry_after.as_secs().max(1));
+    let _ = write_sized(stream, 503, JSON, &retry, body.as_bytes(), false);
     let _ = stream.shutdown(std::net::Shutdown::Both);
 }
 
@@ -597,103 +588,69 @@ fn handle_request(
 ) -> bool {
     let keep_alive = request.keep_alive;
     let path = request.target.split('?').next().unwrap_or("");
-    match path {
-        "/stats" => {
-            if request.method != "GET" {
-                let reject = HttpReject::new(405, "use GET for /stats");
-                stats.record(reject.status);
-                return write_error(stream, &reject, keep_alive, &config.name).is_ok()
-                    && keep_alive;
+    // The admin routes reply with a small JSON body or a rejection; any
+    // other path carries a SPARQL query.
+    let reply = match path {
+        // Snapshot before recording so the body does not count itself.
+        "/stats" => require(request, "GET", path).map(|()| stats_body(stats, backend, config)),
+        "/queries" => require(request, "GET", path).and_then(|()| {
+            backend
+                .queries_json()
+                .ok_or_else(|| HttpReject::new(404, "this server keeps no query registry"))
+        }),
+        _ if path.starts_with("/queries/") && path.ends_with("/cancel") => {
+            require(request, "POST", "/queries/<id>/cancel").and_then(|()| {
+                let id_text = &path["/queries/".len()..path.len() - "/cancel".len()];
+                let id = id_text
+                    .parse::<u64>()
+                    .map_err(|_| HttpReject::new(400, format!("bad query id {id_text:?}")))?;
+                match backend.cancel_query(id, CancelReason::AdminCancelled) {
+                    Some(cancelled) => Ok(format!("{{\"id\":{id},\"cancelled\":{cancelled}}}")),
+                    None => Err(HttpReject::new(
+                        404,
+                        format!("no in-flight query with id {id}"),
+                    )),
+                }
+            })
+        }
+        "/cache/invalidate" => require(request, "POST", path).and_then(|()| {
+            if backend.invalidate_caches() {
+                Ok("{\"invalidated\":true}".to_string())
+            } else {
+                Err(HttpReject::new(404, "this server has no shared caches"))
             }
-            // Snapshot before recording so the body does not count itself.
-            let body = stats_body(stats, backend, config);
+        }),
+        _ => match extract_query(request, config) {
+            Ok(query) => {
+                let binary = config.offer_binary && wants_binary(&request.accept);
+                let answered = answer_query(
+                    stream, backend, &query, client, keep_alive, binary, config, stats,
+                );
+                return answered.is_ok() && keep_alive;
+            }
+            Err(reject) => Err(reject),
+        },
+    };
+    match reply {
+        Ok(body) => {
             stats.record(200);
             write_json(stream, 200, &body, keep_alive).is_ok() && keep_alive
         }
-        "/queries" => {
-            if request.method != "GET" {
-                let reject = HttpReject::new(405, "use GET for /queries");
-                stats.record(reject.status);
-                return write_error(stream, &reject, keep_alive, &config.name).is_ok()
-                    && keep_alive;
-            }
-            match backend.queries_json() {
-                Some(body) => {
-                    stats.record(200);
-                    write_json(stream, 200, &body, keep_alive).is_ok() && keep_alive
-                }
-                None => {
-                    let reject = HttpReject::new(404, "this server keeps no query registry");
-                    stats.record(reject.status);
-                    write_error(stream, &reject, keep_alive, &config.name).is_ok() && keep_alive
-                }
-            }
+        Err(reject) => {
+            stats.record(reject.status);
+            write_error(stream, &reject, keep_alive, &config.name).is_ok()
+                && reject.recoverable
+                && keep_alive
         }
-        _ if path.starts_with("/queries/") && path.ends_with("/cancel") => {
-            if request.method != "POST" {
-                let reject = HttpReject::new(405, "use POST for /queries/<id>/cancel");
-                stats.record(reject.status);
-                return write_error(stream, &reject, keep_alive, &config.name).is_ok()
-                    && keep_alive;
-            }
-            let id_text = &path["/queries/".len()..path.len() - "/cancel".len()];
-            let Ok(id) = id_text.parse::<u64>() else {
-                let reject = HttpReject::new(400, format!("bad query id {id_text:?}"));
-                stats.record(reject.status);
-                return write_error(stream, &reject, keep_alive, &config.name).is_ok()
-                    && keep_alive;
-            };
-            match backend.cancel_query(id, CancelReason::AdminCancelled) {
-                Some(cancelled) => {
-                    stats.record(200);
-                    let body = format!("{{\"id\":{id},\"cancelled\":{cancelled}}}");
-                    write_json(stream, 200, &body, keep_alive).is_ok() && keep_alive
-                }
-                None => {
-                    let reject = HttpReject::new(404, format!("no in-flight query with id {id}"));
-                    stats.record(reject.status);
-                    write_error(stream, &reject, keep_alive, &config.name).is_ok() && keep_alive
-                }
-            }
-        }
-        "/cache/invalidate" => {
-            if request.method != "POST" {
-                let reject = HttpReject::new(405, "use POST for /cache/invalidate");
-                stats.record(reject.status);
-                return write_error(stream, &reject, keep_alive, &config.name).is_ok()
-                    && keep_alive;
-            }
-            if backend.invalidate_caches() {
-                stats.record(200);
-                write_json(stream, 200, "{\"invalidated\":true}", keep_alive).is_ok() && keep_alive
-            } else {
-                let reject = HttpReject::new(404, "this server has no shared caches");
-                stats.record(reject.status);
-                write_error(stream, &reject, keep_alive, &config.name).is_ok() && keep_alive
-            }
-        }
-        _ => match extract_query(request, config) {
-            Ok(query_text) => {
-                answer_query(
-                    stream,
-                    backend,
-                    &query_text,
-                    client,
-                    keep_alive,
-                    config.offer_binary && wants_binary(&request.accept),
-                    config,
-                    stats,
-                )
-                .is_ok()
-                    && keep_alive
-            }
-            Err(reject) => {
-                stats.record(reject.status);
-                write_error(stream, &reject, keep_alive, &config.name).is_ok()
-                    && reject.recoverable
-                    && keep_alive
-            }
-        },
+    }
+}
+
+/// A 405 unless `request` uses `method` on `route`.
+fn require(request: &Request, method: &str, route: &str) -> Result<(), HttpReject> {
+    if request.method == method {
+        Ok(())
+    } else {
+        Err(HttpReject::new(405, format!("use {method} for {route}")))
     }
 }
 
@@ -715,19 +672,32 @@ fn stats_body(
     )
 }
 
+const JSON: &str = "application/json";
+
 /// Write a small sized JSON response.
 fn write_json(stream: &TcpStream, status: u16, body: &str, keep_alive: bool) -> io::Result<()> {
+    write_sized(stream, status, JSON, "", body.as_bytes(), keep_alive)
+}
+
+/// Write a complete sized response: status line, `Content-Type`, the
+/// `extra` header lines (each CRLF-terminated), `Content-Length`, body.
+fn write_sized(
+    stream: &TcpStream,
+    status: u16,
+    media: &str,
+    extra: &str,
+    body: &[u8],
+    keep_alive: bool,
+) -> io::Result<()> {
     let connection = if keep_alive { "keep-alive" } else { "close" };
     let mut out = io::BufWriter::new(stream);
     write!(
         out,
-        "HTTP/1.1 {} {}\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: {}\r\n\r\n{}",
-        status,
+        "HTTP/1.1 {status} {}\r\nContent-Type: {media}\r\n{extra}Content-Length: {}\r\nConnection: {connection}\r\n\r\n",
         status_text(status),
         body.len(),
-        connection,
-        body
     )?;
+    out.write_all(body)?;
     out.flush()
 }
 
@@ -939,74 +909,6 @@ fn form_field(encoded: &str, key: &str) -> Option<Result<String, HttpReject>> {
     None
 }
 
-/// Watches the client's half of the connection while its query executes:
-/// an EOF (or hard error) on the socket trips the query's [`CancelToken`]
-/// with [`CancelReason::ClientDisconnected`], so the backend stops issuing
-/// outbound endpoint requests and frees its ledger instead of computing an
-/// answer nobody will read. Dropping the monitor stops and joins it.
-struct DisconnectMonitor {
-    stop: Arc<AtomicBool>,
-    thread: Option<JoinHandle<()>>,
-}
-
-impl DisconnectMonitor {
-    fn spawn(stream: &TcpStream, token: CancelToken) -> DisconnectMonitor {
-        let stop = Arc::new(AtomicBool::new(false));
-        let thread = match stream.try_clone() {
-            Ok(peek_stream) => {
-                let stop = Arc::clone(&stop);
-                Some(std::thread::spawn(move || {
-                    let mut probe = [0u8; 1];
-                    loop {
-                        if stop.load(Ordering::SeqCst) {
-                            return;
-                        }
-                        if peek_stream
-                            .set_read_timeout(Some(Duration::from_millis(100)))
-                            .is_err()
-                        {
-                            token.cancel(CancelReason::ClientDisconnected);
-                            return;
-                        }
-                        match peek_stream.peek(&mut probe) {
-                            // Orderly EOF: the client hung up mid-query.
-                            Ok(0) => {
-                                token.cancel(CancelReason::ClientDisconnected);
-                                return;
-                            }
-                            // Pipelined bytes for the *next* request are
-                            // already buffered: peek returns instantly, so
-                            // pace the loop instead of spinning on them.
-                            Ok(_) => std::thread::sleep(Duration::from_millis(50)),
-                            Err(e)
-                                if matches!(
-                                    e.kind(),
-                                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                                ) => {}
-                            Err(_) => {
-                                token.cancel(CancelReason::ClientDisconnected);
-                                return;
-                            }
-                        }
-                    }
-                }))
-            }
-            // No second handle to watch with: run unsupervised.
-            Err(_) => None,
-        };
-        DisconnectMonitor { stop, thread }
-    }
-}
-
-impl Drop for DisconnectMonitor {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        if let Some(t) = self.thread.take() {
-            let _ = t.join();
-        }
-    }
-}
-
 /// Evaluate the query through the backend and stream the response.
 /// With `binary`, successful results go out in the negotiated compact
 /// codec ([`results_bin`]); errors are always JSON.
@@ -1022,22 +924,23 @@ fn answer_query(
     stats: &ServerStats,
 ) -> io::Result<()> {
     let name = config.name.as_str();
-    let connection = if keep_alive { "keep-alive" } else { "close" };
     let token = CancelToken::new();
-    let answer = {
-        // The monitor holds a cloned handle; it is stopped and joined
-        // before any response byte is written.
-        let _monitor = DisconnectMonitor::spawn(stream, token.clone());
-        // A panicking backend must cost one 500, not the worker thread:
-        // RAII guards inside the backend release its ledger/quota on
-        // unwind, and the connection stays in its keep-alive loop.
-        std::panic::catch_unwind(AssertUnwindSafe(|| {
-            backend.answer_cancellable(query_text, client, &token)
-        }))
-        .unwrap_or_else(|_| Answer::error(500, "internal error: query evaluation panicked"))
-    };
-    // Restore the blocking-read default the request reader expects.
-    stream.set_read_timeout(None).ok();
+    // While the query executes, every read of its token also peeks the
+    // client's socket, so a hang-up trips `ClientDisconnected` at the
+    // engine's next cancellation point. Without a second handle the
+    // query simply runs unwatched.
+    if let Ok(probe) = stream.try_clone() {
+        token.arm_probe(probe);
+    }
+    // A panicking backend must cost one 500, not the worker thread: RAII
+    // guards inside the backend release its ledger/quota on unwind, and
+    // the connection stays in its keep-alive loop.
+    let answer = std::panic::catch_unwind(AssertUnwindSafe(|| {
+        backend.answer_cancellable(query_text, client, &token)
+    }))
+    .unwrap_or_else(|_| Answer::error(500, "internal error: query evaluation panicked"));
+    // No peek may toggle the shared socket flags once writing starts.
+    token.disarm_probe();
     if token.reason() == Some(CancelReason::ClientDisconnected) {
         // Nobody is reading: count it and skip the write entirely.
         stats.record(499);
@@ -1058,18 +961,14 @@ fn answer_query(
                 Some(d) => format!("Retry-After: {}\r\n", d.as_secs().max(1)),
                 None => String::new(),
             };
-            let mut out = io::BufWriter::new(stream);
-            write!(
-                out,
-                "HTTP/1.1 {} {}\r\nContent-Type: application/json\r\n{}Content-Length: {}\r\nConnection: {}\r\n\r\n{}",
+            write_sized(
+                stream,
                 status,
-                status_text(status),
-                retry_header,
-                body.len(),
-                connection,
-                body
-            )?;
-            out.flush()
+                JSON,
+                &retry_header,
+                body.as_bytes(),
+                keep_alive,
+            )
         }
         Answer::Boolean(b) => {
             stats.record(200);
@@ -1081,16 +980,7 @@ fn answer_query(
                     results_json::boolean_json(b).into_bytes(),
                 )
             };
-            let mut out = io::BufWriter::new(stream);
-            write!(
-                out,
-                "HTTP/1.1 200 OK\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: {}\r\n\r\n",
-                media,
-                body.len(),
-                connection,
-            )?;
-            out.write_all(&body)?;
-            out.flush()
+            write_sized(stream, 200, media, "", &body, keep_alive)
         }
         Answer::Solutions { rel, mut warnings } => {
             stats.record(200);
@@ -1119,51 +1009,45 @@ fn answer_query(
             } else {
                 ""
             };
+            let media = if binary {
+                results_bin::MEDIA_TYPE
+            } else {
+                results_json::MEDIA_TYPE
+            };
+            let connection = if keep_alive { "keep-alive" } else { "close" };
+            let mut out = io::BufWriter::new(stream);
+            write!(
+                out,
+                "HTTP/1.1 200 OK\r\nContent-Type: {media}\r\n{truncated_header}Transfer-Encoding: chunked\r\nConnection: {connection}\r\n\r\n",
+            )?;
             if binary {
                 // The same streaming shape as JSON — head, row chunks,
                 // tail — just in the negotiated compact codec: each row
                 // chunk carries any first-seen terms as dictionary
                 // records followed by the fixed-width id tuple.
                 let mut enc = results_bin::Encoder::new();
-                let mut out = io::BufWriter::new(stream);
-                write!(
-                    out,
-                    "HTTP/1.1 200 OK\r\nContent-Type: {}\r\n{}Transfer-Encoding: chunked\r\nConnection: {}\r\n\r\n",
-                    results_bin::MEDIA_TYPE,
-                    truncated_header,
-                    connection
-                )?;
                 write_chunk(&mut out, &enc.head(rel.vars(), &warnings))?;
                 for row in rows {
                     write_chunk(&mut out, &enc.row(row))?;
                 }
                 write_chunk(&mut out, &enc.tail())?;
-                out.write_all(b"0\r\n\r\n")?;
-                return out.flush();
-            }
-            let head = if warnings.is_empty() {
-                results_json::head_json(rel.vars())
             } else {
-                results_json::head_json_with_warnings(rel.vars(), &warnings)
-            };
-            let mut out = io::BufWriter::new(stream);
-            write!(
-                out,
-                "HTTP/1.1 200 OK\r\nContent-Type: {}\r\n{}Transfer-Encoding: chunked\r\nConnection: {}\r\n\r\n",
-                results_json::MEDIA_TYPE,
-                truncated_header,
-                connection
-            )?;
-            write_chunk(&mut out, head.as_bytes())?;
-            for (i, row) in rows.iter().enumerate() {
-                let mut piece = String::new();
-                if i > 0 {
-                    piece.push(',');
+                let head = if warnings.is_empty() {
+                    results_json::head_json(rel.vars())
+                } else {
+                    results_json::head_json_with_warnings(rel.vars(), &warnings)
+                };
+                write_chunk(&mut out, head.as_bytes())?;
+                for (i, row) in rows.iter().enumerate() {
+                    let mut piece = String::new();
+                    if i > 0 {
+                        piece.push(',');
+                    }
+                    piece.push_str(&results_json::binding_json(rel.vars(), row));
+                    write_chunk(&mut out, piece.as_bytes())?;
                 }
-                piece.push_str(&results_json::binding_json(rel.vars(), row));
-                write_chunk(&mut out, piece.as_bytes())?;
+                write_chunk(&mut out, results_json::SOLUTIONS_TAIL.as_bytes())?;
             }
-            write_chunk(&mut out, results_json::SOLUTIONS_TAIL.as_bytes())?;
             out.write_all(b"0\r\n\r\n")?;
             out.flush()
         }
@@ -1185,23 +1069,15 @@ fn write_error(
     keep_alive: bool,
     name: &str,
 ) -> io::Result<()> {
-    let connection = if keep_alive && reject.recoverable {
-        "keep-alive"
-    } else {
-        "close"
-    };
     let body = error_body(&reject.message, name);
-    let mut out = io::BufWriter::new(stream);
-    write!(
-        out,
-        "HTTP/1.1 {} {}\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: {}\r\n\r\n{}",
+    write_sized(
+        stream,
         reject.status,
-        status_text(reject.status),
-        body.len(),
-        connection,
-        body
-    )?;
-    out.flush()
+        JSON,
+        "",
+        body.as_bytes(),
+        keep_alive && reject.recoverable,
+    )
 }
 
 enum ReadError {

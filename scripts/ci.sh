@@ -67,6 +67,17 @@ if ! LUSAIL_CHAOS_SEED="$seed" cargo test -p integration --test cancel_chaos -q 
     exit 1
 fi
 
+# TTFB group: front-door latency gate (tests/tests/ttfb.rs). Sequential
+# keep-alive queries with never-seen texts against `lusail serve` and
+# `serve --federate` must reach their first response byte within 20ms at
+# p99, and answering must not raise the process thread count: disconnect
+# detection rides on the query's cancel token, not a thread per request.
+if ! cargo test -p integration --test ttfb -q --offline; then
+    echo "ttfb gate failed -- replay with:" >&2
+    echo "    cargo test -p integration --test ttfb" >&2
+    exit 1
+fi
+
 # Codec group: binary results interchange e2e (tests/tests/codec.rs). A
 # binary-negotiated loopback federation must be byte-identical to a
 # JSON-negotiated one on LUBM and QFed, fall back transparently against

@@ -5,9 +5,10 @@
 //! The three supervision paths from the acceptance bar, plus admin
 //! cancellation, each proven over real loopback HTTP:
 //!
-//! * a client that disconnects mid-query has its cancel token tripped,
-//!   its pool ledger freed, and outbound endpoint requests halted well
-//!   before the query deadline;
+//! * a client that disconnects mid-query — even while its query is stuck
+//!   on a `FaultProfile::hang` endpoint — has its cancel token tripped,
+//!   its pool ledger freed, its 499 counted, and outbound endpoint
+//!   requests halted well before the query deadline;
 //! * a `FaultProfile::hang`-wedged query (the endpoint accepts, then
 //!   never answers and ignores its time budget) is reaped by the
 //!   watchdog at deadline + grace, with its memory returned to the pool;
@@ -136,7 +137,7 @@ fn client_disconnect_frees_the_ledger_and_halts_outbound_requests() {
     println!("LUSAIL_CHAOS_SEED={seed}");
     // High per-request latency keeps the cross-endpoint join in flight
     // for hundreds of milliseconds; the seed jitters it so different CI
-    // runs exercise different interleavings of monitor poll vs. phase.
+    // runs exercise different interleavings of liveness probe vs. phase.
     let latency = Duration::from_millis(90 + seed % 40);
     let sims: Vec<Arc<SimulatedEndpoint>> = shards()
         .iter()
@@ -163,7 +164,7 @@ fn client_disconnect_frees_the_ledger_and_halts_outbound_requests() {
     );
 
     // Send the join query, then vanish mid-execution: the full close
-    // sends FIN, which the per-query disconnect monitor reads as EOF.
+    // sends FIN, which the query token's liveness probe reads as EOF.
     let started = Instant::now();
     let mut sock = TcpStream::connect(front.local_addr()).expect("connect");
     sock.write_all(get_request(JOIN_QUERY).as_bytes())
@@ -177,8 +178,8 @@ fn client_disconnect_frees_the_ledger_and_halts_outbound_requests() {
     drop(sock);
 
     // The ledger must come back long before the 30s deadline would
-    // return it. Generous bound: the monitor polls at 100ms and the
-    // engine cancels at its next cooperative check.
+    // return it. Generous bound: the probe peeks at the engine's next
+    // cooperative check, at most every 10ms.
     let freed_within = Duration::from_secs(5);
     while service.pool().in_use() > 0 {
         assert!(
@@ -206,6 +207,73 @@ fn client_disconnect_frees_the_ledger_and_halts_outbound_requests() {
     let text = stats(front.local_addr());
     assert!(json_u64(&text, "client_disconnected") >= 1, "{text}");
     assert_eq!(json_u64(&text, "inflight"), 0, "{text}");
+    front.shutdown();
+}
+
+#[test]
+fn client_disconnect_during_a_hang_wedged_request_is_detected() {
+    let seed = chaos_seed();
+    println!("LUSAIL_CHAOS_SEED={seed}");
+    let (name, g) = &shards()[0];
+    let wedged = Arc::new(FaultyEndpoint::with_config(
+        SimulatedTransport::new(
+            name.clone(),
+            Store::from_graph(g),
+            NetworkProfile::instant(),
+        ),
+        seed,
+        FaultProfile::hang(),
+        FaultyConfig::default(),
+    ));
+    // Neither the deadline nor the watchdog can free this query within
+    // the test: only noticing the vanished client can.
+    let deadline = Duration::from_secs(30);
+    let (service, front) = front_door(
+        vec![Arc::clone(&wedged) as Arc<dyn SparqlEndpoint>],
+        FederateConfig {
+            query_timeout: Some(deadline),
+            ..Default::default()
+        },
+    );
+
+    let started = Instant::now();
+    let mut sock = TcpStream::connect(front.local_addr()).expect("connect");
+    sock.write_all(get_request("SELECT ?s WHERE { ?s <http://x/name> ?n }").as_bytes())
+        .expect("send");
+    // The wedge is entered almost at once; the seed varies how long the
+    // query sits in it before the client vanishes.
+    std::thread::sleep(Duration::from_millis(60 + seed % 40));
+    assert_eq!(
+        service.pool().in_use(),
+        1,
+        "the wedged query holds its ledger"
+    );
+    drop(sock);
+
+    while service.pool().in_use() > 0 {
+        assert!(
+            started.elapsed() < Duration::from_secs(5),
+            "ledger still held {:?} after the client vanished",
+            started.elapsed()
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
+
+    let before = wedged.traffic().requests;
+    std::thread::sleep(Duration::from_millis(250));
+    assert_eq!(
+        wedged.traffic().requests,
+        before,
+        "a cancelled query must stop issuing endpoint requests"
+    );
+
+    // The abandoned query is accounted as a 499: an error, never served.
+    let text = stats(front.local_addr());
+    assert!(json_u64(&text, "client_disconnected") >= 1, "{text}");
+    assert_eq!(json_u64(&text, "inflight"), 0, "{text}");
+    let counts = front.stats();
+    assert!(counts.errors >= 1, "{counts:?}");
+    assert_eq!(counts.served, 1, "only the /stats request was served");
     front.shutdown();
 }
 

@@ -7,7 +7,8 @@
 //! * parallel clients all receive exactly the single-shot answer;
 //! * a repeated hot query is served from the shared result cache with
 //!   **zero** outbound endpoint requests (asserted via the backends'
-//!   request counters);
+//!   request counters), byte for byte the response of the first run in
+//!   both SPARQL JSON and LSRB;
 //! * a saturated admission pool sheds with 503 + `Retry-After`, never
 //!   exceeds the configured ledger count, and keeps serving cached
 //!   answers while saturated;
@@ -230,6 +231,65 @@ fn hot_query_is_answered_with_zero_outbound_requests() {
     );
     assert!(status.contains("200"), "{stats}");
     assert!(json_u64(&stats, "hits") >= 1, "{stats}");
+    front.shutdown();
+    for b in backends {
+        b.shutdown();
+    }
+}
+
+#[test]
+fn result_cache_hit_is_byte_identical_to_the_miss() {
+    let graphs = shards();
+    let (backends, urls) = backend_servers(&graphs);
+    let (front, _) = start_federated_server(
+        &[],
+        "127.0.0.1:0",
+        2,
+        None,
+        &FederateOpts {
+            endpoints: urls,
+            ..Default::default()
+        },
+    )
+    .expect("front door starts");
+    let addr = front.local_addr();
+    let exchange = |request: &str| {
+        let mut sock = TcpStream::connect(addr).expect("connect");
+        sock.write_all(request.as_bytes()).expect("send");
+        let mut bytes = Vec::new();
+        sock.read_to_end(&mut bytes).expect("read");
+        bytes
+    };
+    let invalidate = "POST /cache/invalidate HTTP/1.1\r\nHost: h\r\nConnection: close\r\n\
+                      Content-Length: 0\r\n\r\n";
+    for accept in [
+        "application/sparql-results+json",
+        lusail_federation::results_bin::MEDIA_TYPE,
+    ] {
+        exchange(invalidate);
+        let request = format!(
+            "GET /sparql?query={} HTTP/1.1\r\nHost: h\r\nAccept: {accept}\r\n\
+             Connection: close\r\n\r\n",
+            lusail_federation::http::percent_encode(QUERIES[2])
+        );
+        let miss = exchange(&request);
+        let hit = exchange(&request);
+        assert!(miss.starts_with(b"HTTP/1.1 200"), "{accept}");
+        assert!(
+            String::from_utf8_lossy(&miss).contains(&format!("Content-Type: {accept}")),
+            "{accept}"
+        );
+        assert_eq!(
+            hit, miss,
+            "{accept}: the hit must replay the miss byte for byte"
+        );
+    }
+    let (_, stats) = raw_roundtrip(
+        addr,
+        "GET /stats HTTP/1.1\r\nHost: h\r\nConnection: close\r\n\r\n",
+    );
+    let result_cache = &stats[stats.find("\"result_cache\"").expect("result_cache")..];
+    assert_eq!(json_u64(result_cache, "hits"), 2, "{stats}");
     front.shutdown();
     for b in backends {
         b.shutdown();
